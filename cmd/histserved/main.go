@@ -300,6 +300,12 @@ func run(args []string) error {
 		}()
 	}
 
+	// Catch the shutdown signals before the listener is announced: a
+	// SIGTERM arriving between the two would otherwise take the default
+	// action and kill the process without draining.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -361,9 +367,6 @@ func run(args []string) error {
 		log.Printf("sealing windowed epochs every %s", *advanceInterval)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case err := <-serveErr:
 		return err
@@ -376,6 +379,12 @@ func run(args []string) error {
 	srv.SetReady(false)
 	if repl != nil {
 		repl.Stop()
+		// The replicator's clients use http.DefaultClient, and one of them
+		// dials our own listener. A connection it dialed but never used sits
+		// on that listener unread, which Shutdown only reclaims once it is
+		// 5 s old, the whole drain budget below; close such connections from
+		// the client side first.
+		http.DefaultClient.CloseIdleConnections()
 	}
 	if advanceStop != nil {
 		close(advanceStop)

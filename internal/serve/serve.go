@@ -192,9 +192,9 @@ type queryParams struct {
 }
 
 // windowed reports whether the request asked for a windowed or decayed
-// answer — the signal that routes stream adapters through EstimateRangeOver
-// and makes every other synopsis kind reject the request instead of silently
-// ignoring the parameters.
+// answer — the signal that makes every synopsis kind other than a windowed
+// streaming engine reject the request instead of silently ignoring the
+// parameters.
 func (q queryParams) windowed() bool { return q.window > 0 || q.halflife > 0 }
 
 // windowedServed is the optional sliding-window face of a served synopsis:
@@ -332,13 +332,15 @@ func adapt(v any) (served, error) {
 			return err
 		}}, nil
 	case *stream.Maintainer:
-		return &maintServed{m: obj}, nil
+		ms := &maintServed{m: obj}
+		ms.eng = ms
+		return ms, nil
 	case *stream.Sharded:
-		return shardServed{s: obj}, nil
+		return shardServed{streamQueries{obj}, obj}, nil
 	case *stream.DurableSharded:
-		return durableShardServed{d: obj}, nil
+		return durableShardServed{streamQueries{obj}, obj}, nil
 	case *stream.DurableMaintainer:
-		return durableMaintServed{d: obj}, nil
+		return durableMaintServed{streamQueries{obj}, obj}, nil
 	default:
 		if est, ok := v.(synopsis.Synopsis); ok {
 			return estServed{est: est, name: "estimator", enc: func(w io.Writer) error {
@@ -578,48 +580,46 @@ func (s estServed) rangeBatch(as, bs []int, q queryParams, out []float64) ([]flo
 
 func (s estServed) snapshot(w io.Writer) error { return s.enc(w) }
 
+// streamQueries is the query half every streaming adapter shares: a batch of
+// points (as width-1 ranges) or ranges is one EstimateRangesOver call at the
+// request's window and half-life, which reads each shard once per 64 ranges.
+type streamQueries struct {
+	eng interface {
+		EstimateRangesOver(as, bs []int, window int, halflife float64, out []float64) error
+	}
+}
+
+func (s streamQueries) pointBatch(xs []int, q queryParams, out []float64) ([]float64, error) {
+	return s.rangeBatch(xs, xs, q, out)
+}
+
+func (s streamQueries) rangeBatch(as, bs []int, q queryParams, out []float64) ([]float64, error) {
+	out = growValues(out, len(as))
+	if err := s.eng.EstimateRangesOver(as, bs, q.window, q.halflife, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // maintServed serves a single-goroutine streaming maintainer behind one
 // mutex: correct for modest traffic, and the restore target for maintainer
-// checkpoints. High-concurrency intake should host a *stream.Sharded.
+// checkpoints. High-concurrency intake should host a *stream.Sharded. Its
+// embedded streamQueries queries the adapter itself, so every read takes
+// the mutex.
 type maintServed struct {
+	streamQueries
 	mu sync.Mutex
 	m  *stream.Maintainer
 }
 
 func (*maintServed) kind() string { return "maintainer" }
 
-func (s *maintServed) pointBatch(xs []int, _ queryParams, out []float64) ([]float64, error) {
-	return s.rangeBatch(xs, xs, queryParams{}, out)
-}
-
-func (s *maintServed) rangeBatch(as, bs []int, q queryParams, out []float64) ([]float64, error) {
-	out = growValues(out, len(as))
+// EstimateRangesOver answers a batch on the maintainer under the adapter
+// mutex.
+func (s *maintServed) EstimateRangesOver(as, bs []int, window int, halflife float64, out []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range as {
-		v, err := estimateRange(s.m, as[i], bs[i], q)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// rangeEstimator is the query face the four stream adapters share; the
-// windowed variant answers over the newest q.window epochs with exponential
-// decay at half-life q.halflife.
-type rangeEstimator interface {
-	EstimateRange(a, b int) (float64, error)
-	EstimateRangeOver(a, b, window int, halflife float64) (float64, error)
-}
-
-// estimateRange routes one range query to the plain or windowed kernel.
-func estimateRange(e rangeEstimator, a, b int, q queryParams) (float64, error) {
-	if q.windowed() {
-		return e.EstimateRangeOver(a, b, q.window, q.halflife)
-	}
-	return e.EstimateRange(a, b)
+	return s.m.EstimateRangesOver(as, bs, window, halflife, out)
 }
 
 func (s *maintServed) windowedQueries() bool {
@@ -645,26 +645,11 @@ func (s *maintServed) snapshot(w io.Writer) error {
 // snapshots capture a stream.Checkpoint, which never waits for an in-flight
 // background compaction.
 type shardServed struct {
+	streamQueries
 	s *stream.Sharded
 }
 
 func (shardServed) kind() string { return "sharded" }
-
-func (s shardServed) pointBatch(xs []int, q queryParams, out []float64) ([]float64, error) {
-	return s.rangeBatch(xs, xs, q, out)
-}
-
-func (s shardServed) rangeBatch(as, bs []int, q queryParams, out []float64) ([]float64, error) {
-	out = growValues(out, len(as))
-	for i := range as {
-		v, err := estimateRange(s.s, as[i], bs[i], q)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
 
 func (s shardServed) ingest(points []int, weights []float64) error {
 	return s.s.AddBatch(points, weights)
@@ -715,26 +700,11 @@ type durableStatser interface {
 // a checkpoint of the live state without touching the WAL: the bytes are for
 // replication elsewhere; local durability is the WAL's job.
 type durableShardServed struct {
+	streamQueries
 	d *stream.DurableSharded
 }
 
 func (durableShardServed) kind() string { return "durable-sharded" }
-
-func (s durableShardServed) pointBatch(xs []int, q queryParams, out []float64) ([]float64, error) {
-	return s.rangeBatch(xs, xs, q, out)
-}
-
-func (s durableShardServed) rangeBatch(as, bs []int, q queryParams, out []float64) ([]float64, error) {
-	out = growValues(out, len(as))
-	for i := range as {
-		v, err := estimateRange(s.d, as[i], bs[i], q)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
 
 func (s durableShardServed) ingest(points []int, weights []float64) error {
 	return s.d.AddBatch(points, weights)
@@ -752,26 +722,11 @@ func (s durableShardServed) windowedQueries() bool { return s.d.Windowed() }
 // wrapper synchronizes ingest, queries, and snapshots internally, so unlike
 // the bare maintServed no adapter mutex is needed.
 type durableMaintServed struct {
+	streamQueries
 	d *stream.DurableMaintainer
 }
 
 func (durableMaintServed) kind() string { return "durable-maintainer" }
-
-func (s durableMaintServed) pointBatch(xs []int, q queryParams, out []float64) ([]float64, error) {
-	return s.rangeBatch(xs, xs, q, out)
-}
-
-func (s durableMaintServed) rangeBatch(as, bs []int, q queryParams, out []float64) ([]float64, error) {
-	out = growValues(out, len(as))
-	for i := range as {
-		v, err := estimateRange(s.d, as[i], bs[i], q)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
 
 func (s durableMaintServed) ingest(points []int, weights []float64) error {
 	return s.d.AddBatch(points, weights)

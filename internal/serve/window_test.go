@@ -45,7 +45,12 @@ func feedWindowed(t *testing.T, add func(int, float64) error, advance func() err
 
 // windowedURL renders a /range query URL with the windowed knobs.
 func windowedURL(base, name string, a, b, window int, halflife float64) string {
-	u := fmt.Sprintf("%s/v1/%s/range?a=%d&b=%d", base, name, a, b)
+	return fmt.Sprintf("%s/v1/%s/range?a=%d&b=%d%s", base, name, a, b, windowKnobs(window, halflife))
+}
+
+// windowKnobs renders the &window= / &halflife= query suffix.
+func windowKnobs(window int, halflife float64) string {
+	var u string
 	if window > 0 {
 		u += fmt.Sprintf("&window=%d", window)
 	}
@@ -56,8 +61,9 @@ func windowedURL(base, name string, a, b, window int, halflife float64) string {
 }
 
 // TestServeWindowedQueries pins ?window= / ?halflife= end-to-end on both
-// engines and both codecs: every wire answer must be bit-identical to the
-// library's EstimateRangeOver at the same parameters.
+// engines, both endpoints and both codecs: every wire answer must be
+// bit-identical to the library's EstimateRangeOver at the same parameters (a
+// point x is the range [x, x]).
 func TestServeWindowedQueries(t *testing.T) {
 	const n, k, W, tail = 3000, 6, 4, 150
 	opts := core.DefaultOptions()
@@ -163,6 +169,8 @@ func TestServeWindowedQueries(t *testing.T) {
 				t.Fatal(err)
 			}
 			bitsEqual(t, fmt.Sprintf("%s binary w=%d hl=%g", name, kn.window, kn.halflife), gotBin, wantVals)
+
+			checkWindowedPoints(t, ts, name, as, kn.window, kn.halflife, want)
 		}
 	}
 
@@ -209,6 +217,73 @@ func TestServeWindowedQueries(t *testing.T) {
 	}
 }
 
+// checkWindowedPoints pins /at with the windowed knobs in its three forms —
+// single GET, JSON batch and binary batch — against the library's answer
+// for [x, x].
+func checkWindowedPoints(t *testing.T, ts *httptest.Server, name string, xs []int, window int, halflife float64,
+	want func(a, b, w int, hl float64) (float64, error)) {
+	t.Helper()
+	label := fmt.Sprintf("%s /at w=%d hl=%g", name, window, halflife)
+	wantVals := make([]float64, len(xs))
+	for i, x := range xs {
+		var err error
+		if wantVals[i], err = want(x, x, window, halflife); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := ts.Client()
+
+	resp, err := client.Get(fmt.Sprintf("%s/v1/%s/at?x=%d%s", ts.URL, name, xs[0], windowKnobs(window, halflife)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var single struct {
+		Value float64 `json:"value"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&single)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s single: status %d, %v", label, resp.StatusCode, err)
+	}
+	bitsEqual(t, label+" single", []float64{single.Value}, wantVals[:1])
+
+	batchURL := fmt.Sprintf("%s/v1/%s/at?%s", ts.URL, name, windowKnobs(window, halflife))
+	body, err := json.Marshal(pointsJSON{Points: xs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = client.Post(batchURL, ContentJSON, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got valuesJSON
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s JSON batch: status %d, %v", label, resp.StatusCode, err)
+	}
+	bitsEqual(t, label+" json", got.Values, wantVals)
+
+	var frame bytes.Buffer
+	if err := EncodePointsBody(&frame, xs); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = client.Post(batchURL, ContentBatch, &frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s binary batch: status %d, %v", label, resp.StatusCode, err)
+	}
+	gotBin, err := DecodeValuesBody(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, label+" binary", gotBin, wantVals)
+}
+
 // TestServeWindowedParamValidation pins the 4xx contract for the windowed
 // knobs: malformed values, windows beyond the retained span, and windowed
 // queries against synopses that cannot answer them are all client errors.
@@ -241,8 +316,8 @@ func TestServeWindowedParamValidation(t *testing.T) {
 		{"wm", "halflife=-1"},
 		{"wm", "halflife=Inf"},
 		{"wm", "halflife=NaN"},
-		{"plain", "window=2"},   // plain engine: no ring to query
-		{"hist", "window=2"},    // immutable synopsis: no epochs at all
+		{"plain", "window=2"}, // plain engine: no ring to query
+		{"hist", "window=2"},  // immutable synopsis: no epochs at all
 		{"hist", "halflife=1.5"},
 	}
 	for _, tc := range cases {
@@ -270,50 +345,66 @@ func TestServeWindowedParamValidation(t *testing.T) {
 }
 
 // TestAnswerBinaryWindowedZeroAlloc extends the steady-state zero-allocation
-// pin to the windowed kernel: a binary range batch against a windowed sharded
-// engine with both knobs set must not allocate after warm-up.
+// pin to the windowed batch kernel: a binary batch of 256 ranges (four
+// kernel groups) with both knobs set, against engines holding sealed epochs
+// and a pending tail, must not allocate after warm-up on any streaming kind
+// that serves windowed queries.
 func TestAnswerBinaryWindowedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	const n = 20000
+	const n, k, W, capacity, tail = 20000, 8, 4, 128, 90
 	opts := core.DefaultOptions()
 	opts.Workers = 1
-	eng, err := stream.NewWindowedSharded(n, 8, 4, 2, 128, opts)
+	sharded, err := stream.NewWindowedSharded(n, k, W, 2, capacity, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedWindowed(t, eng.Add, eng.Advance, n, 5, 600, 90)
-	if _, err := eng.SummaryOver(0, 0); err != nil {
+	durable, err := stream.NewDurableSharded(n, k, 2, capacity, opts, stream.DurableOptions{
+		Dir: t.TempDir(), CheckpointEvery: -1, WindowEpochs: W,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { durable.Close() })
+	maint, err := stream.NewWindowedMaintainer(n, k, W, capacity, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each Advance drains the engine; the tail then stays pending (fewer
+	// than capacity updates per shard, so no compaction starts).
+	feedWindowed(t, sharded.Add, sharded.Advance, n, W+1, 600, tail)
+	feedWindowed(t, durable.Add, durable.Advance, n, W+1, 600, tail)
+	feedWindowed(t, maint.Add, maint.Advance, n, W+1, 600, tail)
+
 	s := NewServer(&Config{Workers: 1})
-	if err := s.Host("w", eng); err != nil {
-		t.Fatal(err)
-	}
-	sv, _ := s.lookup("w")
 	q := queryParams{workers: 1, window: 3, halflife: 1.5}
-	_, as, bs := queries(n, 256)
+	_, as, bs := queries(n, 4*64)
 	rangeReq := encodeBody(t, func(w io.Writer) error { return EncodeRangesBody(w, as, bs) })
-
-	// Warm-up: grows the pooled buffers and builds every slot histogram's
-	// lazily constructed query index.
-	rd := bytes.NewReader(rangeReq)
-	wb := s.bufs.get()
-	if _, err := s.answerBinary(sv, q, true, rd, wb); err != nil {
-		t.Fatal(err)
-	}
-	s.bufs.put(wb)
-
-	if allocs := testing.AllocsPerRun(200, func() {
+	for name, eng := range map[string]any{"sharded": sharded, "durable-sharded": durable, "maintainer": maint} {
+		if err := s.Host(name, eng); err != nil {
+			t.Fatal(err)
+		}
+		sv, _ := s.lookup(name)
+		// Warm-up: grows the pooled buffers and builds every slot
+		// histogram's lazily constructed query index.
+		rd := bytes.NewReader(rangeReq)
 		wb := s.bufs.get()
-		rd.Reset(rangeReq)
 		if _, err := s.answerBinary(sv, q, true, rd, wb); err != nil {
 			t.Fatal(err)
 		}
 		s.bufs.put(wb)
-	}); allocs != 0 {
-		t.Fatalf("windowed binary range path allocates %v/op at steady state, want 0", allocs)
+
+		if allocs := testing.AllocsPerRun(200, func() {
+			wb := s.bufs.get()
+			rd.Reset(rangeReq)
+			if _, err := s.answerBinary(sv, q, true, rd, wb); err != nil {
+				t.Fatal(err)
+			}
+			s.bufs.put(wb)
+		}); allocs != 0 {
+			t.Fatalf("%s: windowed binary range path allocates %v/op at steady state, want 0", name, allocs)
+		}
 	}
 }
 
@@ -370,10 +461,10 @@ func TestSnapshotDeltaMalformedSince(t *testing.T) {
 
 	// Parsable but foreign coordinates: complete-frame downgrade, 200.
 	wrong := []string{
-		"0",                 // explicit full sync
-		"1:1,2",             // wrong shard count (2 of 3)
-		"1:1,2,3,4,5",       // wrong shard count (5 of 3)
-		"999999:1,2,3",      // unknown epoch
+		"0",                          // explicit full sync
+		"1:1,2",                      // wrong shard count (2 of 3)
+		"1:1,2,3,4,5",                // wrong shard count (5 of 3)
+		"999999:1,2,3",               // unknown epoch
 		"18446744073709551615:0,0,0", // max uint64 epoch
 	}
 	for _, since := range wrong {

@@ -341,6 +341,12 @@ func (d *DurableSharded) EstimateRangeOver(a, b, window int, halflife float64) (
 	return d.s.EstimateRangeOver(a, b, window, halflife)
 }
 
+// EstimateRangesOver delegates a batch of range queries to the engine (see
+// Sharded.EstimateRangesOver).
+func (d *DurableSharded) EstimateRangesOver(as, bs []int, window int, halflife float64, out []float64) error {
+	return d.s.EstimateRangesOver(as, bs, window, halflife, out)
+}
+
 // Windowed reports whether the wrapped engine retains a sliding epoch window.
 func (d *DurableSharded) Windowed() bool { return d.s.Windowed() }
 
@@ -601,6 +607,14 @@ func (d *DurableMaintainer) EstimateRangeOver(a, b, window int, halflife float64
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.m.EstimateRangeOver(a, b, window, halflife)
+}
+
+// EstimateRangesOver answers a batch of range queries under the ingest lock
+// (see Maintainer.EstimateRangesOver).
+func (d *DurableMaintainer) EstimateRangesOver(as, bs []int, window int, halflife float64, out []float64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.m.EstimateRangesOver(as, bs, window, halflife, out)
 }
 
 // Windowed reports whether the wrapped maintainer retains a sliding epoch

@@ -370,44 +370,14 @@ func (sh *ingestShard) drainLocked() error {
 // EstimateRange returns the maintained vector's sum over [a, b]: installed
 // per-shard summary mass plus every pending update (active log and any log
 // currently being folded), so no mass is ever missing or double-counted.
-// It never forces or waits for a compaction — cost per shard is
-// O(log pieces) plus a scan of that shard's pending updates (O(2·bufferCap)
-// worst case).
+// It never forces or waits for a compaction. It is a one-range
+// EstimateRangesOver: per shard, O(log pieces) plus one pass over that
+// shard's pending updates (fewer than 2·bufferCap). Batches of ranges
+// should go through EstimateRangesOver, which takes each shard lock and
+// scans each pending log once per 64 ranges. On a windowed engine it covers
+// every retained epoch, undecayed.
 func (s *Sharded) EstimateRange(a, b int) (float64, error) {
-	if s.windowEpochs > 0 {
-		// A windowed engine's plain query covers every retained epoch,
-		// undecayed.
-		return s.EstimateRangeOver(a, b, 0, 0)
-	}
-	if a < 1 || b > s.n || a > b {
-		return 0, fmt.Errorf("stream: range [%d, %d] invalid for domain [1, %d]", a, b, s.n)
-	}
-	var total float64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.err != nil {
-			err := sh.err
-			sh.mu.Unlock()
-			return 0, err
-		}
-		if !sh.m.view.empty() {
-			total += sh.m.view.rangeSum(a, b)
-		}
-		// The in-flight log is not yet in the view (install happens under
-		// this lock) and the compaction only reads it: scanning is safe.
-		for _, e := range sh.inflight {
-			if a <= e.Index && e.Index <= b {
-				total += e.Value
-			}
-		}
-		for _, e := range sh.active {
-			if a <= e.Index && e.Index <= b {
-				total += e.Value
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return total, nil
+	return s.estimateOne(a, b, 0, 0)
 }
 
 // Summary drains every shard (waiting out in-flight compactions, folding

@@ -407,33 +407,14 @@ func (m *Maintainer) dedupedBuffer(log []sparse.Entry) []sparse.Entry {
 
 // EstimateRange returns the maintained vector's sum over [a, b] — summary
 // mass plus pending buffered deltas — without forcing a compaction, so the
-// serving path never pays a merging run. Cost is O(log pieces) for the
-// summary (two binary searches plus a prefix-mass difference) plus a linear
-// scan of the pending update log: O(p) for p buffered updates, which is
-// O(bufferCap) in the worst case (a compaction is imminent) and short-
-// circuits to the summary lookup alone when the buffer is empty — len(buffer)
-// is the running pending-update count, so the empty check is free.
+// serving path never pays a merging run. It is a one-range
+// EstimateRangesOver: O(log pieces) for the summary (two binary searches
+// plus a prefix-mass difference) plus one pass over the pending buffer,
+// which holds fewer than bufferCap updates. Batches of ranges should go
+// through EstimateRangesOver, which scans the buffer once per 64 ranges.
+// On a windowed maintainer it covers every retained epoch, undecayed.
 func (m *Maintainer) EstimateRange(a, b int) (float64, error) {
-	if m.win != nil {
-		// A windowed maintainer's plain query covers every retained epoch,
-		// undecayed.
-		return m.EstimateRangeOver(a, b, 0, 0)
-	}
-	if a < 1 || b > m.n || a > b {
-		return 0, fmt.Errorf("stream: range [%d, %d] invalid for domain [1, %d]", a, b, m.n)
-	}
-	var total float64
-	if !m.view.empty() {
-		total = m.view.rangeSum(a, b)
-	}
-	if len(m.buffer) > 0 {
-		for _, e := range m.buffer {
-			if a <= e.Index && e.Index <= b {
-				total += e.Value
-			}
-		}
-	}
-	return total, nil
+	return m.estimateOne(a, b, 0, 0)
 }
 
 // materialize returns the compacted summary as an immutable Histogram,

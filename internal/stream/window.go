@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interval"
-	"repro/internal/sparse"
 )
 
 // Windowed and time-decayed streams.
@@ -80,15 +79,9 @@ func decayFactor(age int, halflife float64) float64 {
 // checkOver validates the windowed-query parameters against the ring.
 func (r *windowRing) checkOver(window int, halflife float64) error {
 	if r == nil {
-		return fmt.Errorf("stream: windowed query on a non-windowed engine")
+		return errNotWindowed
 	}
-	if window < 0 || window > r.epochs {
-		return fmt.Errorf("stream: window %d out of [0, %d] epochs", window, r.epochs)
-	}
-	if halflife < 0 || math.IsNaN(halflife) || math.IsInf(halflife, 0) {
-		return fmt.Errorf("stream: half-life %v must be a finite number of epochs ≥ 0", halflife)
-	}
-	return nil
+	return checkWindow(r.epochs, window, halflife)
 }
 
 // NewWindowedMaintainer builds a windowed maintainer over [1, n] targeting
@@ -159,46 +152,16 @@ func (m *Maintainer) Advance() error {
 	return nil
 }
 
-// estimateOver is the windowed range-sum kernel shared by Maintainer and
-// Sharded: scaled sealed-epoch masses (oldest first), then the live view,
-// then the pending logs in arrival order — a fixed summation order, so
-// answers are bit-identical across runs and restores. Callers validate the
-// range and window first. Allocation-free after each sealed histogram's
-// lazy query index is built.
-func (m *Maintainer) estimateOver(a, b, window int, halflife float64, inflight, pending []sparse.Entry) float64 {
-	var total float64
-	slots := m.win.included(window)
-	for i, h := range slots {
-		total += decayFactor(len(slots)-i, halflife) * h.RangeSum(a, b)
-	}
-	if !m.view.empty() {
-		total += m.view.rangeSum(a, b)
-	}
-	for _, e := range inflight {
-		if a <= e.Index && e.Index <= b {
-			total += e.Value
-		}
-	}
-	for _, e := range pending {
-		if a <= e.Index && e.Index <= b {
-			total += e.Value
-		}
-	}
-	return total
-}
-
 // EstimateRangeOver answers a range sum over the newest `window` epochs
 // (0 = every retained epoch), scaling each sealed epoch's mass by
 // 2^(−age/halflife) (halflife 0 = no decay; the live epoch has age 0 and is
-// never scaled). With window 0 and halflife 0 it equals EstimateRange.
+// never scaled). With window 0 and halflife 0 it equals EstimateRange. It is
+// a one-range EstimateRangesOver; it rejects a plain maintainer.
 func (m *Maintainer) EstimateRangeOver(a, b, window int, halflife float64) (float64, error) {
 	if err := m.win.checkOver(window, halflife); err != nil {
 		return 0, err
 	}
-	if a < 1 || b > m.n || a > b {
-		return 0, fmt.Errorf("stream: range [%d, %d] invalid for domain [1, %d]", a, b, m.n)
-	}
-	return m.estimateOver(a, b, window, halflife, nil, m.buffer), nil
+	return m.estimateOne(a, b, window, halflife)
 }
 
 // scaleHist returns h with every piece value (hence every mass) scaled by f,
@@ -330,33 +293,14 @@ func (s *Sharded) Advance() error {
 // EstimateRangeOver answers a range sum over the newest `window` epochs
 // across every shard (0 = every retained epoch), with each sealed epoch's
 // mass scaled by 2^(−age/halflife). Like EstimateRange it never forces or
-// waits for a compaction: per shard it reads the ring, the installed view,
-// and the pending logs under the shard lock.
+// waits for a compaction: it is a one-range EstimateRangesOver, which reads
+// each shard's ring, installed view and pending logs under the shard lock.
+// It rejects a plain engine.
 func (s *Sharded) EstimateRangeOver(a, b, window int, halflife float64) (float64, error) {
 	if s.windowEpochs == 0 {
-		return 0, fmt.Errorf("stream: windowed query on a non-windowed engine")
+		return 0, errNotWindowed
 	}
-	if a < 1 || b > s.n || a > b {
-		return 0, fmt.Errorf("stream: range [%d, %d] invalid for domain [1, %d]", a, b, s.n)
-	}
-	if window < 0 || window > s.windowEpochs {
-		return 0, fmt.Errorf("stream: window %d out of [0, %d] epochs", window, s.windowEpochs)
-	}
-	if halflife < 0 || math.IsNaN(halflife) || math.IsInf(halflife, 0) {
-		return 0, fmt.Errorf("stream: half-life %v must be a finite number of epochs ≥ 0", halflife)
-	}
-	var total float64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.err != nil {
-			err := sh.err
-			sh.mu.Unlock()
-			return 0, err
-		}
-		total += sh.m.estimateOver(a, b, window, halflife, sh.inflight, sh.active)
-		sh.mu.Unlock()
-	}
-	return total, nil
+	return s.estimateOne(a, b, window, halflife)
 }
 
 // SummaryOver drains every shard and merges the window's per-epoch, per-shard
@@ -367,11 +311,8 @@ func (s *Sharded) SummaryOver(window int, halflife float64) (*core.Histogram, er
 	if s.windowEpochs == 0 {
 		return nil, fmt.Errorf("stream: windowed summary on a non-windowed engine")
 	}
-	if window < 0 || window > s.windowEpochs {
-		return nil, fmt.Errorf("stream: window %d out of [0, %d] epochs", window, s.windowEpochs)
-	}
-	if halflife < 0 || math.IsNaN(halflife) || math.IsInf(halflife, 0) {
-		return nil, fmt.Errorf("stream: half-life %v must be a finite number of epochs ≥ 0", halflife)
+	if err := checkWindow(s.windowEpochs, window, halflife); err != nil {
+		return nil, err
 	}
 	var hs []*core.Histogram
 	for _, sh := range s.shards {

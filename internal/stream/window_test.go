@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -494,6 +495,11 @@ func TestWindowedDeltaReplication(t *testing.T) {
 	}
 	feedEpochs(t, s.Add, s.Advance, epochs, tail, points, weights)
 
+	// A background compaction installing after the capture would move the
+	// primary to other coordinates than the replica's (same mass, another
+	// summation order), so wait out in-flight compactions first; with no
+	// ingest after the capture, the primary then stays at cp's versions.
+	waitQuiesce(s)
 	cp, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -517,8 +523,11 @@ func TestWindowedDeltaReplication(t *testing.T) {
 		t.Fatalf("replica windowed=%v epochs=%d tick=%d, want true/%d/%d",
 			replica.Windowed(), replica.WindowEpochs(), replica.Tick(), W, s.Tick())
 	}
-	checkAgree := func(label string) {
+	checkAgree := func(label string, at *Checkpoint) {
 		t.Helper()
+		if got, want := s.Versions(nil), at.Versions(nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: primary at versions %v, replica at %v", label, got, want)
+		}
 		for w := 0; w <= W; w++ {
 			for _, pr := range probeRanges(windowN) {
 				want, err1 := s.EstimateRangeOver(pr[0], pr[1], w, 1.0)
@@ -530,7 +539,7 @@ func TestWindowedDeltaReplication(t *testing.T) {
 			}
 		}
 	}
-	checkAgree("rebuilt replica")
+	checkAgree("rebuilt replica", cp)
 
 	// Advance the primary (rotating every ring) plus a little more ingest,
 	// then ship only the changed shards.
@@ -570,7 +579,7 @@ func TestWindowedDeltaReplication(t *testing.T) {
 	if replica.Tick() != s.Tick() {
 		t.Fatalf("replica tick %d after delta, want %d", replica.Tick(), s.Tick())
 	}
-	checkAgree("delta-applied replica")
+	checkAgree("delta-applied replica", cp2)
 
 	// Shape mismatch: a windowed delta must not apply to a plain engine.
 	plain, err := NewSharded(windowN, windowK, P, windowCap, core.DefaultOptions())
