@@ -300,8 +300,9 @@ func BenchmarkAblationGramEvaluator(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationInitialPartition isolates stage costs of Fit: sparse
-// conversion + initial partition vs the merging rounds.
+// BenchmarkAblationInitialPartition isolates the stage costs of Fit before
+// its merging rounds: sparse conversion, then the initial partition I₀ with
+// its statistics (InitialState) on one worker and on all cores.
 func BenchmarkAblationInitialPartition(b *testing.B) {
 	q := datasets.Dow()
 	b.Run("fromDense", func(b *testing.B) {
@@ -309,13 +310,14 @@ func BenchmarkAblationInitialPartition(b *testing.B) {
 			sparse.FromDense(q)
 		}
 	})
-	b.Run("initialPartition", func(b *testing.B) {
-		sf := sparse.FromDense(q)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sf.InitialPartition()
-		}
-	})
+	sf := sparse.FromDense(q)
+	for _, w := range []int{1, 0} {
+		b.Run("initialState/"+workersName(w), func(b *testing.B) {
+			for b.Loop() {
+				sf.InitialState(w)
+			}
+		})
+	}
 }
 
 // ----------------------------------------------------------------- util

@@ -101,12 +101,14 @@ func resolveOpts(opts *Options) Options {
 // otherwise propagate them into every interval silently.
 func checkFinite(data []float64) error {
 	for i, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !isFinite(v) {
 			return fmt.Errorf("histapprox: data[%d] = %v is not finite", i, v)
 		}
 	}
 	return nil
 }
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Fit approximates the dense vector data (data[0] is the value at point 1)
 // with a histogram of at most (2+2/δ)k+γ pieces and ℓ2 error at most
@@ -138,6 +140,11 @@ func FitSparse(n int, entries map[int]float64, k int, opts *Options) (*Histogram
 	sf, err := sparse.New(n, es)
 	if err != nil {
 		return nil, 0, fmt.Errorf("histapprox: %w", err)
+	}
+	for _, e := range sf.Entries() { // sorted: the lowest bad index is named
+		if !isFinite(e.Value) {
+			return nil, 0, fmt.Errorf("histapprox: entries[%d] = %v is not finite", e.Index, e.Value)
+		}
 	}
 	res, err := core.ConstructHistogram(sf, k, resolveOpts(opts))
 	if err != nil {

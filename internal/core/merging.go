@@ -132,8 +132,9 @@ type mergeState struct {
 }
 
 func newMergeState(q *sparse.Func, workers int) *mergeState {
-	p := q.InitialPartition()
-	m := &mergeState{ivs: p, stats: q.StatsFor(p), workers: parallel.Resolve(workers)}
+	w := parallel.Resolve(workers)
+	ivs, stats := q.InitialState(w)
+	m := &mergeState{ivs: ivs, stats: stats, workers: w}
 	m.initPasses()
 	return m
 }

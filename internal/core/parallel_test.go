@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/interval"
 	"repro/internal/rng"
 	"repro/internal/sparse"
 )
@@ -77,7 +78,73 @@ func equivFixtures() map[string][]float64 {
 	}
 	fixtures["steps"] = steps
 
+	// Sparse with gaps: 60000 nonzeros 1 to 12 points apart, so I₀ holds
+	// zero gaps and chunk boundaries of the initial-state builder fall
+	// between adjacent, near and far entries.
+	var idx []int
+	for i := 3; len(idx) < 60000; i += 1 + r.Intn(12) {
+		idx = append(idx, i)
+	}
+	gappy := make([]float64, idx[len(idx)-1]+5)
+	for _, i := range idx {
+		gappy[i-1] = 1 + r.NormFloat64()*r.NormFloat64()
+	}
+	fixtures["sparseGaps"] = gappy
+
 	return fixtures
+}
+
+// oracleInitialState is I₀ and its statistics as the merging engine built
+// them before sparse.InitialState: the relevant-index set J materialized,
+// one singleton per index and one interval per gap, then a StatsFor sweep.
+func oracleInitialState(q *sparse.Func) (interval.Partition, []sparse.Stat) {
+	var js []int
+	for _, e := range q.Entries() {
+		for x := e.Index - 1; x <= e.Index+1; x++ {
+			if x >= 1 && x <= q.N() && (len(js) == 0 || js[len(js)-1] < x) {
+				js = append(js, x)
+			}
+		}
+	}
+	var p interval.Partition
+	next := 1
+	for _, j := range js {
+		if j > next {
+			p = append(p, interval.New(next, j-1))
+		}
+		p = append(p, interval.New(j, j))
+		next = j + 1
+	}
+	if next <= q.N() {
+		p = append(p, interval.New(next, q.N()))
+	}
+	return p, q.StatsFor(p)
+}
+
+// TestInitialStateConstructMatchesOracleSummary: a fit from the parallel
+// initial-state builder equals the merging loop started from the old I₀
+// and its StatsFor statistics, bit for bit, at every worker count.
+func TestInitialStateConstructMatchesOracleSummary(t *testing.T) {
+	for name, q := range equivFixtures() {
+		sf := sparse.FromDense(q)
+		p, stats := oracleInitialState(sf)
+		for _, opts := range []Options{DefaultOptions(), PaperOptions()} {
+			const k = 17
+			opts.Workers = 1
+			want, err := ConstructHistogramFromSummary(sf.N(), p, stats, k, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, w := range equivalenceWorkers {
+				opts.Workers = w
+				got, err := ConstructHistogram(sf, k, opts)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", name, w, err)
+				}
+				sameResult(t, name+"/oracle-I0", want, got)
+			}
+		}
+	}
 }
 
 func sameResult(t *testing.T, label string, a, b Result) {

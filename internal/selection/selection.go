@@ -9,10 +9,18 @@
 // pivot and an insertion-sort base case. The ninther pivot makes adversarial
 // inputs astronomically unlikely while staying deterministic, so experiment
 // runs remain reproducible.
+//
+// The merging rounds take their cut through Threshold, ThresholdScratch and
+// ThresholdParallel, which leave the input untouched. When the budget k is
+// small next to the input (4k < len, as Algorithm 1's (1 + 1/δ)k is against
+// the s/2 pairs of its early rounds), they stream the input through a
+// 4k-slot candidate buffer and quickselect only the buffer. Otherwise, or
+// when the input holds a NaN, they quickselect a copy of the input.
 package selection
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -118,10 +126,15 @@ func insertionSort(xs []float64) {
 	}
 }
 
+// filterFactor sizes the candidate buffer of the filtered cut: a range
+// longer than filterFactor·k is scanned through a buffer of filterFactor·k
+// slots instead of being copied whole (see filterTop).
+const filterFactor = 4
+
 // Threshold returns the k-th largest element of xs, the cut value t such
 // that at least k elements are ≥ t. If k ≥ len(xs) it returns the minimum
 // (everything passes a ≥ test); if k ≤ 0 it returns +Inf (nothing passes).
-// xs is copied, not reordered.
+// xs is not modified.
 //
 // The merging algorithms use CountAbove together with this to keep exactly
 // the budgeted number of pairs split even when many errors tie at t.
@@ -130,10 +143,15 @@ func Threshold(xs []float64, k int) float64 {
 	return cut
 }
 
-// ThresholdScratch is Threshold using (and returning) a caller-owned scratch
-// buffer for the copy, so that round-based callers — the merging loops call
-// this once per round — amortize the allocation to zero. The returned slice
-// is the possibly-regrown scratch; pass it back in on the next call.
+// ThresholdScratch is Threshold working in a caller-owned scratch buffer,
+// so that round-based callers — the merging loops call this once per
+// round — amortize its allocation to zero. The returned slice is the
+// possibly-regrown scratch; pass it back in on the next call. xs is not
+// modified.
+//
+// When 4k < len(xs) the scratch holds only 4k candidates (filterTop): one
+// pass over xs, no copy of it. Otherwise, or when xs holds a NaN, xs is
+// copied into the scratch and quickselected there.
 func ThresholdScratch(xs []float64, k int, scratch []float64) (float64, []float64) {
 	if len(xs) == 0 {
 		panic("selection: Threshold of empty slice")
@@ -150,21 +168,81 @@ func ThresholdScratch(xs []float64, k int, scratch []float64) (float64, []float6
 		}
 		return min, scratch
 	}
-	if cap(scratch) < len(xs) {
-		scratch = make([]float64, len(xs))
+	if filterFactor*k < len(xs) {
+		scratch = grow(scratch, filterFactor*k)
+		if cut, ok := filterTop(xs, scratch[:filterFactor*k], k); ok {
+			return cut, scratch
+		}
 	}
+	scratch = grow(scratch, len(xs))
 	cp := scratch[:len(xs)]
 	copy(cp, xs)
 	return KthLargest(cp, k), scratch
 }
 
+// filterTop returns the k-th largest value of xs, leaving the k largest
+// values in buf[:k]. len(buf) > k is the candidate buffer and
+// len(xs) ≥ len(buf). It reports ok = false if xs holds a NaN, which
+// orders against nothing; buf is then garbage.
+//
+// The buffer starts with the first len(buf) values. Whenever it is full it
+// is quickselected down to its k largest, and their minimum becomes the
+// admission threshold t; after that only values above t enter. The k values
+// held are all ≥ t, so a value ≤ t cannot change the k-th largest, and the
+// result is exact. Quickselect runs on the buffer only, so the cost is one
+// comparison per value plus O(len(buf)) per len(buf) − k admitted values.
+func filterTop(xs, buf []float64, k int) (cut float64, ok bool) {
+	b := len(buf)
+	for i, x := range xs[:b] {
+		if x != x {
+			return 0, false
+		}
+		buf[i] = x
+	}
+	t := keepTop(buf, k)
+	m := k
+	for _, x := range xs[b:] {
+		if x <= t {
+			continue
+		}
+		if x != x {
+			return 0, false
+		}
+		if m == b {
+			t = keepTop(buf, k)
+			m = k
+		}
+		buf[m] = x
+		m++
+	}
+	return keepTop(buf[:m], k), true
+}
+
+// keepTop quickselects the k largest values of buf (len(buf) ≥ k) into
+// buf[:k] and returns the smallest of them.
+func keepTop(buf []float64, k int) float64 {
+	t := KthLargest(buf, k)
+	copy(buf, buf[len(buf)-k:])
+	return t
+}
+
+// grow returns xs resized to n, reallocating only on a short capacity.
+func grow(xs []float64, n int) []float64 {
+	if cap(xs) < n {
+		return make([]float64, n)
+	}
+	return xs[:n]
+}
+
 // ThresholdParallel is ThresholdScratch computed with `workers` goroutines:
-// the input is cut into fixed chunks, each worker quickselects its chunk's
-// top k into the tail of its scratch region, and the ≤ workers·k candidates
-// are merged with one final serial selection. Every chunk's k-th largest
-// bounds the chunk's contribution to the global top k, so the merged
-// selection returns exactly the k-th largest of xs — the identical float the
-// serial path returns, for every worker count.
+// the input is cut into fixed chunks, each worker filters its chunk's top k
+// into its own 4k-slot region of the scratch (filterTop), and the
+// workers·k candidates are merged with one final serial selection. Every
+// chunk's k-th largest bounds the chunk's contribution to the global top k,
+// so the merged selection returns exactly the k-th largest of xs — the
+// value the serial path returns, for every worker count. If a chunk holds a
+// NaN, which the filter cannot order, the whole call reruns as chunked
+// copy-and-quickselect (thresholdCopyChunks).
 //
 // It falls back to the serial path when the parallel plan cannot win:
 // few elements, one worker, or k so large that per-chunk selection would
@@ -174,31 +252,54 @@ func ThresholdParallel(xs []float64, k, workers int, scratch []float64) (float64
 	if w > len(xs)/parallel.MinGrain {
 		w = len(xs) / parallel.MinGrain
 	}
-	if w <= 1 || k <= 0 || k >= len(xs) || 4*k*w >= len(xs) {
+	if w <= 1 || k <= 0 || k >= len(xs) || filterFactor*k*w >= len(xs) {
 		return ThresholdScratch(xs, k, scratch)
 	}
-	if cap(scratch) < len(xs) {
-		scratch = make([]float64, len(xs))
+	return thresholdChunks(xs, k, w, scratch)
+}
+
+// thresholdChunks is the multi-worker body of ThresholdParallel, kept out
+// of it so that the variables its chunk closure captures are heap-allocated
+// only when the workers actually run. filterFactor·k·w < len(xs) holds, so
+// every chunk has at least filterFactor·k values.
+func thresholdChunks(xs []float64, k, w int, scratch []float64) (float64, []float64) {
+	b := filterFactor * k
+	scratch = grow(scratch, w*b)
+	var nan atomic.Bool
+	parallel.ForChunks(w, len(xs), w, func(ci, lo, hi int) {
+		if _, ok := filterTop(xs[lo:hi], scratch[ci*b:(ci+1)*b], k); !ok {
+			nan.Store(true)
+		}
+	})
+	if nan.Load() {
+		return thresholdCopyChunks(xs, k, w, scratch)
 	}
+	// Compact every chunk's top k to the front in chunk order: chunk ci's
+	// candidates move from ci·b down to ci·k, never over a later chunk's.
+	for ci := 1; ci < w; ci++ {
+		copy(scratch[ci*k:(ci+1)*k], scratch[ci*b:ci*b+k])
+	}
+	return KthLargest(scratch[:w*k], k), scratch
+}
+
+// thresholdCopyChunks is ThresholdParallel for inputs holding a NaN: each
+// chunk is copied into the scratch and quickselected there, and the chunks'
+// top-k regions are merged by one final selection.
+func thresholdCopyChunks(xs []float64, k, w int, scratch []float64) (float64, []float64) {
+	scratch = grow(scratch, len(xs))
 	cp := scratch[:len(xs)]
 	// Each chunk copies and partially reorders only its own region of cp;
 	// candidate harvesting below runs after the barrier.
 	parallel.ForChunks(w, len(xs), w, func(_, lo, hi int) {
 		copy(cp[lo:hi], xs[lo:hi])
-		if hi-lo > k {
-			KthLargest(cp[lo:hi], k)
-		}
+		KthLargest(cp[lo:hi], k)
 	})
 	// Compact every chunk's top-k candidates to the front of cp in chunk
 	// order (regions never overlap: chunk ci's candidates start at ci·k ≤ lo
 	// because each chunk holds > k elements).
 	cand := 0
 	parallel.ForChunks(1, len(xs), w, func(_, lo, hi int) {
-		top := lo
-		if hi-lo > k {
-			top = hi - k
-		}
-		cand += copy(cp[cand:], cp[top:hi])
+		cand += copy(cp[cand:], cp[hi-k:hi])
 	})
 	return KthLargest(cp[:cand], k), scratch
 }

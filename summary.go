@@ -25,6 +25,10 @@ func summaryInput(n int, boundaries []int, sums, sumSqs []float64) (interval.Par
 	}
 	stats := make([]sparse.Stat, len(part))
 	for i, iv := range part {
+		if !isFinite(sums[i]) || !isFinite(sumSqs[i]) {
+			return nil, nil, fmt.Errorf("histapprox: summary interval %d has Σq = %v, Σq² = %v; both must be finite",
+				i, sums[i], sumSqs[i])
+		}
 		if sumSqs[i] < 0 {
 			return nil, nil, fmt.Errorf("histapprox: negative Σq² in summary interval %d", i)
 		}
