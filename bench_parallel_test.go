@@ -4,15 +4,14 @@
 //	go test -bench=Parallel -benchmem
 //	REPRO_FULL=1 go test -bench=Parallel    # include n = 10⁶ cells
 //
-// The recorded sweep lives in BENCH_parallel.json (regenerate with
-// `histbench -parallel BENCH_parallel.json`); see EXPERIMENTS.md.
+// Diff two commits cell by cell with benchstat over -count=10 runs. The
+// end-to-end fit measurement is perfbench's fit workload (perfbench/README.md).
 package histapprox
 
 import (
 	"os"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/learn"
@@ -21,8 +20,7 @@ import (
 )
 
 // parallelBenchSizes keeps the default `go test -bench .` run fast; the
-// full acceptance sweep at n = 10⁶ is enabled by REPRO_FULL=1 (and is what
-// histbench -parallel records).
+// full acceptance sweep at n = 10⁶ is enabled by REPRO_FULL=1.
 func parallelBenchSizes() []int {
 	if os.Getenv("REPRO_FULL") != "" {
 		return []int{100_000, 1_000_000}
@@ -31,6 +29,25 @@ func parallelBenchSizes() []int {
 }
 
 var parallelWorkerCounts = []int{1, 2, 4, 0}
+
+// parallelBenchData builds a deterministic dense input with 4k underlying
+// steps plus noise — enough structure that the merging loop runs a
+// realistic number of rounds, enough noise that no round degenerates. The
+// series is strictly positive so it doubles as a weight vector for the
+// learning benchmarks.
+func parallelBenchData(n, k int) []float64 {
+	r := rng.New(uint64(n) + 1)
+	q := make([]float64, n)
+	pieceLen := n/(4*k) + 1
+	level := 0.0
+	for i := range q {
+		if i%pieceLen == 0 {
+			level = r.NormFloat64() * 10
+		}
+		q[i] = 100 + level + 0.1*r.NormFloat64()
+	}
+	return q
+}
 
 func workersName(w int) string {
 	if w == 0 {
@@ -41,7 +58,7 @@ func workersName(w int) string {
 
 func BenchmarkParallelFit(b *testing.B) {
 	for _, n := range parallelBenchSizes() {
-		q := bench.ParallelBenchData(n, 50)
+		q := parallelBenchData(n, 50)
 		sf := sparse.FromDense(q)
 		for _, w := range parallelWorkerCounts {
 			o := core.PaperOptions()
@@ -59,7 +76,7 @@ func BenchmarkParallelFit(b *testing.B) {
 
 func BenchmarkParallelFitFast(b *testing.B) {
 	for _, n := range parallelBenchSizes() {
-		q := bench.ParallelBenchData(n, 50)
+		q := parallelBenchData(n, 50)
 		sf := sparse.FromDense(q)
 		for _, w := range parallelWorkerCounts {
 			o := core.PaperOptions()
@@ -77,7 +94,7 @@ func BenchmarkParallelFitFast(b *testing.B) {
 
 func BenchmarkParallelHierarchy(b *testing.B) {
 	for _, n := range parallelBenchSizes() {
-		q := bench.ParallelBenchData(n, 50)
+		q := parallelBenchData(n, 50)
 		sf := sparse.FromDense(q)
 		for _, w := range parallelWorkerCounts {
 			b.Run(itoa(n)+"/"+workersName(w), func(b *testing.B) {
@@ -91,7 +108,7 @@ func BenchmarkParallelHierarchy(b *testing.B) {
 
 func BenchmarkParallelLearn(b *testing.B) {
 	for _, n := range parallelBenchSizes() {
-		q := bench.ParallelBenchData(n, 50)
+		q := parallelBenchData(n, 50)
 		p, err := dist.FromWeights(q)
 		if err != nil {
 			b.Fatal(err)

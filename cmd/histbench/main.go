@@ -8,52 +8,6 @@
 //	histbench                         # full table (exactdp on dow takes minutes)
 //	histbench -skip-exact             # omit the O(n²k) exact DP
 //	histbench -trials 20              # more timing repetitions
-//	histbench -parallel OUT.json      # run the parallel-engine sweep instead
-//	                                  # (serial vs multi-worker Fit/Learn at
-//	                                  # n up to 10⁶; records BENCH_parallel.json)
-//	histbench -query OUT.json         # run the query-serving sweep instead:
-//	                                  # point/range/batched throughput at
-//	                                  # k ∈ {10, 100, 1000}; records
-//	                                  # BENCH_query.json
-//	histbench -query OUT.json -quick  # small smoke grid (CI)
-//	histbench -ingest OUT.json        # run the ingestion sweep instead:
-//	                                  # serial vs sharded intake, single vs
-//	                                  # batch, compaction pause percentiles;
-//	                                  # records BENCH_ingest.json
-//	histbench -ingest OUT.json -quick # small smoke grid (CI)
-//	histbench -wal OUT.json           # run the durable-ingest sweep instead:
-//	                                  # write-ahead-logged batched intake vs
-//	                                  # the in-memory engine across the
-//	                                  # fsync-batching curve (SyncEvery ∈
-//	                                  # {1, 8, 64, 256}); records BENCH_wal.json
-//	histbench -wal OUT.json -quick    # small smoke grid (CI)
-//	histbench -codec OUT.json         # run the codec sweep instead: binary
-//	                                  # envelope vs JSON encode/decode
-//	                                  # throughput and bytes-per-piece at
-//	                                  # k ∈ {10, 100, 1000}, plus maintainer
-//	                                  # checkpoint cells; records
-//	                                  # BENCH_codec.json
-//	histbench -codec OUT.json -quick  # small smoke grid (CI)
-//	histbench -serve OUT.json         # run the HTTP serving sweep instead:
-//	                                  # p50/p99 request latency and qps for
-//	                                  # point/range/batch workloads, JSON vs
-//	                                  # binary bodies, 1/8/64 concurrent
-//	                                  # clients against a live loopback
-//	                                  # server; records BENCH_serve.json
-//	histbench -serve OUT.json -quick  # small smoke grid (CI)
-//	histbench -replicate OUT.json     # run the replication sweep instead:
-//	                                  # steady-state delta bytes and sync
-//	                                  # latency vs full-snapshot shipping
-//	                                  # while skewed ingest touches 1/8 of
-//	                                  # the shards; records
-//	                                  # BENCH_replicate.json
-//	histbench -replicate OUT.json -quick  # small smoke grid (CI)
-//	histbench -window OUT.json        # run the windowed-query sweep instead:
-//	                                  # EstimateRangeOver latency across
-//	                                  # window spans and decay half-lives on
-//	                                  # a wrapped epoch ring; records
-//	                                  # BENCH_window.json
-//	histbench -window OUT.json -quick # small smoke grid (CI)
 package main
 
 import (
@@ -70,50 +24,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("histbench: ")
 	skipExact := flag.Bool("skip-exact", false, "omit the O(n²k) exact dynamic program")
-	trials := flag.Int("trials", 0, "minimum timing repetitions per cell (0 = the sweep's own default)")
-	parallelOut := flag.String("parallel", "", "run the parallel-engine sweep and write its JSON report to this file")
-	queryOut := flag.String("query", "", "run the query-serving sweep and write its JSON report to this file")
-	ingestOut := flag.String("ingest", "", "run the ingestion sweep and write its JSON report to this file")
-	walOut := flag.String("wal", "", "run the durable-ingest sweep and write its JSON report to this file")
-	codecOut := flag.String("codec", "", "run the codec sweep and write its JSON report to this file")
-	serveOut := flag.String("serve", "", "run the HTTP serving sweep and write its JSON report to this file")
-	replicateOut := flag.String("replicate", "", "run the replication sweep and write its JSON report to this file")
-	windowOut := flag.String("window", "", "run the windowed-query sweep and write its JSON report to this file")
-	quick := flag.Bool("quick", false, "with -query/-ingest/-codec/-serve/-replicate/-window: small smoke grid instead of the full sweep")
+	trials := flag.Int("trials", 0, "minimum timing repetitions per cell (0 = 10; exactdp and gks are timed once)")
 	flag.Parse()
-
-	if *windowOut != "" {
-		runWindow(*windowOut, *quick)
-		return
-	}
-	if *replicateOut != "" {
-		runReplicate(*replicateOut, *quick)
-		return
-	}
-	if *serveOut != "" {
-		runServe(*serveOut, *quick)
-		return
-	}
-	if *codecOut != "" {
-		runCodec(*codecOut, *trials, *quick)
-		return
-	}
-	if *walOut != "" {
-		runWAL(*walOut, *trials, *quick)
-		return
-	}
-	if *ingestOut != "" {
-		runIngest(*ingestOut, *trials, *quick)
-		return
-	}
-	if *queryOut != "" {
-		runQuery(*queryOut, *trials, *quick)
-		return
-	}
-	if *parallelOut != "" {
-		runParallel(*parallelOut, *trials)
-		return
-	}
 
 	cfg := bench.DefaultTable1Config()
 	cfg.SkipExact = *skipExact
@@ -133,278 +45,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntotal harness time: %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// runServe hammers the HTTP serving layer over loopback and writes the
-// latency/throughput trajectory.
-func runServe(outPath string, quick bool) {
-	cfg := bench.DefaultServeConfig()
-	if quick {
-		cfg = bench.QuickServeConfig()
-	}
-	fmt.Println("HTTP serving layer — request latency and query throughput")
-	fmt.Println("(loopback httptest server; answers verified against in-process calls;")
-	fmt.Println(" binary bodies are the HSYN batch frames, JSON is encoding/json)")
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunServeBench(cfg)
-	if err := bench.WriteServeJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("%-12s %-7s conc=%-3d batch=%-5d  p50 %8.1f µs  p99 %8.1f µs  %9.0f rps  %12.0f qps\n",
-			pt.Workload, pt.Codec, pt.Concurrency, pt.Batch, pt.P50Us, pt.P99Us, pt.RPS, pt.QPS)
-	}
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
-}
-
-// runWindow sweeps windowed and decayed range queries over a fully wrapped
-// epoch ring and writes the latency trajectory.
-func runWindow(outPath string, quick bool) {
-	cfg := bench.DefaultWindowConfig()
-	if quick {
-		cfg = bench.QuickWindowConfig()
-	}
-	fmt.Println("Windowed & decayed queries — epoch-ring combine latency")
-	fmt.Printf("(ring of %d sealed epochs plus a live tail; window=0 is the full\n", cfg.Epochs)
-	fmt.Println(" retained history; decay scales sealed slots by exp2(-age/halflife))")
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunWindowBench(cfg)
-	if err := bench.WriteWindowJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("window=%-3d halflife=%-5.4g  %9.1f ns/query  summary %9.0f ns\n",
-			pt.Window, pt.Halflife, pt.NsPerQuery, pt.SummaryNs)
-	}
-	fmt.Printf("%d-epoch window / full-history query = %.3f\n", cfg.MEpochWindow, rep.WindowVsFullQuery)
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
-}
-
-// runReplicate measures steady-state replication (version-vector deltas vs
-// full-snapshot shipping) over loopback HTTP and writes the byte/latency
-// trajectory.
-func runReplicate(outPath string, quick bool) {
-	cfg := bench.DefaultReplicateConfig()
-	if quick {
-		cfg = bench.QuickReplicateConfig()
-	}
-	fmt.Println("Delta replication — steady-state sync bytes and latency")
-	fmt.Printf("(skewed ingest touches %d of %d shards per round; both modes replay\n", cfg.HotShards, cfg.Shards)
-	fmt.Println(" the same schedule and end bit-identical to the primary)")
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunReplicateBench(cfg)
-	if err := bench.WriteReplicateJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("%-6s rounds=%-4d  %9.0f bytes/round  p50 %8.1f µs  p99 %8.1f µs  (total %d bytes)\n",
-			pt.Mode, pt.Rounds, pt.BytesPerRound, pt.P50Us, pt.P99Us, pt.BytesTotal)
-	}
-	fmt.Printf("delta/full bytes = %.3f\n", rep.DeltaVsFullBytes)
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
-}
-
-// runCodec sweeps the snapshot/wire layer (binary envelope vs JSON on
-// histogram synopses, maintainer checkpoints) and writes the JSON size +
-// throughput trajectory.
-func runCodec(outPath string, trials int, quick bool) {
-	cfg := bench.DefaultCodecConfig()
-	if quick {
-		cfg = bench.QuickCodecConfig()
-	}
-	if trials > 0 {
-		cfg.MinTrials = trials
-	}
-	fmt.Println("Versioned binary codec — snapshot size and throughput")
-	fmt.Println("(binary = HSYN envelope: varint/delta boundaries, XOR-packed raw-bits")
-	fmt.Println(" values, CRC-32C footer; round-trips are bit-identical on both codecs)")
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunCodecBench(cfg)
-	if err := bench.WriteCodecJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		ratio := ""
-		if pt.RatioVsJSON > 0 {
-			ratio = fmt.Sprintf("  %5.3f of JSON", pt.RatioVsJSON)
-		}
-		fmt.Printf("%-10s %-6s k=%-5d %7d bytes  enc %8.1f MB/s  dec %8.1f MB/s%s\n",
-			pt.Object, pt.Codec, pt.K, pt.Bytes, pt.EncodeMBps, pt.DecodeMBps, ratio)
-	}
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
-}
-
-// runQuery sweeps the serving path (point, range, and batched queries at
-// k ∈ {10, 100, 1000}) and writes the JSON throughput trajectory.
-func runQuery(outPath string, trials int, quick bool) {
-	cfg := bench.DefaultQueryConfig()
-	if quick {
-		cfg = bench.QuickQueryConfig()
-	}
-	if trials > 0 {
-		cfg.MinTrials = trials
-	}
-	fmt.Println("Indexed query engine — serving throughput")
-	fmt.Println("(single vs batched; outputs are bit-identical across paths and worker")
-	fmt.Println(" counts; range_scan is the retained legacy O(pieces) baseline)")
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunQueryBench(cfg)
-	if err := bench.WriteQueryJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("%-12s k=%-5d pieces=%-5d workers=%-2d batch=%-5d  %9.1f ns/query  %12.0f qps\n",
-			pt.Workload, pt.K, pt.Pieces, pt.Workers, pt.Batch, pt.NsPerQuery, pt.QPS)
-	}
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
-}
-
-// runIngest sweeps the intake engines (serial Maintainer vs Sharded at the
-// configured shard counts, single updates vs batches) and writes the JSON
-// throughput + pause-percentile trajectory.
-func runIngest(outPath string, trials int, quick bool) {
-	cfg := bench.DefaultIngestConfig()
-	if quick {
-		cfg = bench.QuickIngestConfig()
-	}
-	if trials > 0 {
-		cfg.MinTrials = trials
-	}
-	fmt.Println("Sharded ingestion engine — intake throughput")
-	fmt.Println("(serial = inline compactions; sharded = hashed shards, background")
-	fmt.Println(" compaction behind a double-buffered log; pauses are ingest stalls)")
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunIngestBench(cfg)
-	if err := bench.WriteIngestJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("%-8s shards=%-2d %-7s batch=%-5d  %7.1f ns/update  %12.0f upd/s  compacts=%-5d pauses=%d (p99 %.0f µs)\n",
-			pt.Mode, pt.Shards, pt.Workload, pt.Batch, pt.NsPerUpdate, pt.UpdatesPerSec,
-			pt.Compactions, pt.PauseCount, pt.PauseP99Us)
-	}
-	for _, sp := range rep.SortKernel {
-		fmt.Printf("sort     log=%-8d            radix %9.1f ns/op   comparison %9.1f ns/op   speedup %.2fx\n",
-			sp.LogSize, sp.RadixNsPerOp, sp.CmpNsPerOp, sp.Speedup)
-	}
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
-}
-
-// runWAL sweeps durable batched ingest (write-ahead-logged engine across
-// the fsync-batching curve) against the in-memory baseline and writes the
-// JSON throughput + log-traffic trajectory.
-func runWAL(outPath string, trials int, quick bool) {
-	cfg := bench.DefaultWALConfig()
-	if quick {
-		cfg = bench.QuickWALConfig()
-	}
-	if trials > 0 {
-		cfg.MinTrials = trials
-	}
-	fmt.Println("Durable ingestion — write-ahead-logged intake vs in-memory")
-	fmt.Println("(each run ingests the full stream, forces the log durable with Sync,")
-	fmt.Println(" and ends with Summary; SyncEvery=1 fsyncs before every call returns)")
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunWALBench(cfg)
-	if err := bench.WriteWALJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		if pt.Mode == "memory" {
-			fmt.Printf("%-7s                 batch=%-5d  %7.1f ns/update  %12.0f upd/s\n",
-				pt.Mode, pt.Batch, pt.NsPerUpdate, pt.UpdatesPerSec)
-			continue
-		}
-		fmt.Printf("%-7s sync-every=%-4d batch=%-5d  %7.1f ns/update  %12.0f upd/s  %.2fx memory  fsyncs=%-6d group=%.1f  ckpts=%d\n",
-			pt.Mode, pt.SyncEvery, pt.Batch, pt.NsPerUpdate, pt.UpdatesPerSec,
-			pt.OverheadVsMemory, pt.Fsyncs, pt.MeanGroup, pt.Checkpoints)
-	}
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
-}
-
-// runParallel sweeps the parallel merging engine (serial vs multi-worker
-// Fit, FitFast, Hierarchy, Learn) and writes the JSON trajectory.
-func runParallel(outPath string, trials int) {
-	cfg := bench.DefaultParallelConfig()
-	if trials > 0 {
-		cfg.MinTrials = trials
-	}
-	fmt.Println("Parallel merging engine — serial vs multi-worker wall clock")
-	fmt.Println("(outputs are bit-identical across worker counts; see EXPERIMENTS.md)")
-	// Open the output before the sweep so a bad path fails in milliseconds,
-	// not after the full timing run.
-	f, err := os.Create(outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	start := time.Now()
-	rep := bench.RunParallelBench(cfg)
-	if err := bench.WriteParallelJSON(f, rep); err != nil {
-		log.Fatal(err)
-	}
-	for _, pt := range rep.Points {
-		fmt.Printf("%-10s n=%-8d workers=%-2d  %8.2f ms  speedup %.2fx\n",
-			pt.Algorithm, pt.N, pt.Workers, pt.Millis, pt.Speedup)
-	}
-	if rep.Note != "" {
-		fmt.Println("note:", rep.Note)
-	}
-	fmt.Printf("report written to %s (total %v)\n", outPath, time.Since(start).Round(time.Millisecond))
 }

@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 	"time"
 
@@ -220,10 +219,4 @@ func WriteTable1(w io.Writer, rows []Table1Row) error {
 			r.Dataset, r.Algorithm, r.Pieces, r.Err, r.RelErr, r.Millis, r.RelTime)
 	}
 	return tw.Flush()
-}
-
-// RoundTo rounds x to d decimal digits (rendering helper).
-func RoundTo(x float64, d int) float64 {
-	p := math.Pow(10, float64(d))
-	return math.Round(x*p) / p
 }

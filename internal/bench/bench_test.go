@@ -130,12 +130,3 @@ func TestTimeItMinTotal(t *testing.T) {
 		t.Fatal("TimeIt returned before accumulating MinTotal")
 	}
 }
-
-func TestRoundTo(t *testing.T) {
-	if RoundTo(1.2345, 2) != 1.23 {
-		t.Fatal("RoundTo failed")
-	}
-	if RoundTo(1.235, 2) != 1.24 {
-		t.Fatal("RoundTo rounding mode")
-	}
-}

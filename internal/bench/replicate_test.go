@@ -2,65 +2,132 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
+	"math/rand"
+	"net/http/httptest"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/stream"
 )
 
-// TestReplicateBenchQuick is the ISSUE's acceptance gate: with ingest
-// confined to 1/8 of the shards between rounds, steady-state delta bytes
-// must come in at ≤ 1/4 of full-snapshot shipping — the margin between the
-// protocol's ideal (1/8, plus the fixed header) and "not actually shipping
-// deltas at all" (1.0).
+// TestReplicateBenchQuick is the replication bytes bar: with ingest confined
+// to 1/8 of the shards between rounds, steady-state delta bytes must come in
+// at ≤ 1/4 of full-snapshot shipping — the margin between the protocol's
+// ideal (1/8, plus the fixed header) and "not actually shipping deltas at
+// all" (1.0). Both modes replay the same skewed ingest over real loopback
+// HTTP, and both must leave the replica answering bit-identically to the
+// primary, so the delta rounds cannot get under the bound by shipping
+// garbage.
 func TestReplicateBenchQuick(t *testing.T) {
-	cfg := QuickReplicateConfig()
-	if cfg.HotShards*8 != cfg.Shards {
-		t.Fatalf("quick config drifted: hot=%d shards=%d, want 1/8", cfg.HotShards, cfg.Shards)
-	}
-	rep := RunReplicateBench(cfg)
+	const (
+		n, k, shards, bufferCap = 20_000, 16, 8, 1024
+		hot, rounds, batch      = 1, 12, 128
+		warmBatch               = 12_000
+		name                    = "repl"
+	)
+	opts := core.DefaultOptions()
+	opts.Workers = 1
 
-	if len(rep.Points) != 2 {
-		t.Fatalf("%d points, want 2 (delta, full)", len(rep.Points))
-	}
-	var delta, full *ReplicatePoint
-	for i := range rep.Points {
-		switch rep.Points[i].Mode {
-		case "delta":
-			delta = &rep.Points[i]
-		case "full":
-			full = &rep.Points[i]
+	var totals [2]int64 // delta, full
+	for mode := range totals {
+		eng, err := stream.NewSharded(n, k, shards, bufferCap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := serve.NewServer(&serve.Config{Workers: 1})
+		if err := ps.Host(name, eng); err != nil {
+			t.Fatal(err)
+		}
+		psrv := httptest.NewServer(ps.Handler())
+		defer psrv.Close()
+		rsrv := httptest.NewServer(serve.NewServer(&serve.Config{Workers: 1}).Handler())
+		defer rsrv.Close()
+		primary := serve.NewClient(psrv.URL, psrv.Client(), true)
+		replica := serve.NewClient(rsrv.URL, rsrv.Client(), true)
+
+		// Same seed in both modes: identical warm-up and batches.
+		rng := rand.New(rand.NewSource(42))
+		// Uniform warm-up gives every shard real state, so "full" reships
+		// the cold shards each round the way a production snapshot would.
+		warm := make([]int, warmBatch)
+		for i := range warm {
+			warm[i] = 1 + rng.Intn(n)
+		}
+		if err := eng.AddBatch(warm, nil); err != nil {
+			t.Fatal(err)
+		}
+
+		fullSnapshot := func() []byte {
+			var buf bytes.Buffer
+			if err := primary.Snapshot(name, &buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		var rp *serve.Replicator
+		if mode == 0 {
+			if rp, err = serve.NewReplicator(name, primary, []*serve.Client{replica}, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.SyncOnce(0); err != nil { // bootstrap: the complete frame, not counted
+				t.Fatal(err)
+			}
+		} else if err := replica.PushBytes(name, fullSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+
+		for round := 0; round < rounds; round++ {
+			// Points whose shards all land inside the hot subset, so a round
+			// dirties at most hot shards.
+			pts := make([]int, 0, batch)
+			for len(pts) < batch {
+				if p := 1 + rng.Intn(n); eng.ShardOf(p) < hot {
+					pts = append(pts, p)
+				}
+			}
+			if err := eng.AddBatch(pts, nil); err != nil {
+				t.Fatal(err)
+			}
+			if mode == 0 {
+				before := rp.Status()[0].DeltaBytes
+				if err := rp.SyncOnce(0); err != nil {
+					t.Fatal(err)
+				}
+				totals[mode] += rp.Status()[0].DeltaBytes - before
+			} else {
+				full := fullSnapshot()
+				if err := replica.PushBytes(name, full); err != nil {
+					t.Fatal(err)
+				}
+				totals[mode] += int64(len(full))
+			}
+		}
+
+		as := []int{1, 1, n / 4, n / 2}
+		bs := []int{n, n / 2, 3 * n / 4, n}
+		want, err := primary.Ranges(name, as, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := replica.Ranges(name, as, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("mode %d: replica [%d,%d] = %v, primary %v", mode, as[i], bs[i], got[i], want[i])
+			}
 		}
 	}
-	if delta == nil || full == nil {
-		t.Fatalf("modes = %v", []string{rep.Points[0].Mode, rep.Points[1].Mode})
-	}
-	if delta.Rounds != cfg.Rounds || full.Rounds != cfg.Rounds {
-		t.Errorf("rounds = %d/%d, want %d", delta.Rounds, full.Rounds, cfg.Rounds)
-	}
-	if delta.BytesTotal <= 0 || full.BytesTotal <= 0 {
-		t.Fatalf("bytes: delta=%d full=%d", delta.BytesTotal, full.BytesTotal)
-	}
 
-	// The acceptance ratio. RunReplicateBench verified bit-identical replica
-	// answers in both modes before returning, so the delta rounds cannot
-	// have cheated their way under the bound.
-	if rep.DeltaVsFullBytes > 0.25 {
+	delta, full := totals[0], totals[1]
+	if delta <= 0 || full <= 0 {
+		t.Fatalf("bytes: delta=%d full=%d", delta, full)
+	}
+	if ratio := float64(delta) / float64(full); ratio > 0.25 {
 		t.Errorf("delta/full bytes = %.3f (delta %d, full %d), want ≤ 0.25 with 1/8 shards hot",
-			rep.DeltaVsFullBytes, delta.BytesTotal, full.BytesTotal)
-	}
-	if rep.DeltaVsFullBytes <= 0 {
-		t.Errorf("ratio = %v, want > 0", rep.DeltaVsFullBytes)
-	}
-
-	// The report must round-trip as JSON (it is a recorded artifact).
-	var buf bytes.Buffer
-	if err := WriteReplicateJSON(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	var back ReplicateReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.DeltaVsFullBytes != rep.DeltaVsFullBytes || len(back.Points) != 2 {
-		t.Error("JSON round-trip lost fields")
+			ratio, delta, full)
 	}
 }

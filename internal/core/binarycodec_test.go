@@ -117,6 +117,55 @@ func TestHistogramBinaryIsCompactVsJSON(t *testing.T) {
 	}
 }
 
+// codecBenchHistogram builds the size gate's k-piece synopsis: a learned-
+// style summary of a non-negative frequency vector normalized to total mass
+// 1, so piece values are full-precision small doubles — the shape the
+// paper's synopses actually ship (and the shape the acceptance ratio is
+// defined on).
+func codecBenchHistogram(t *testing.T, n, k int) *Histogram {
+	t.Helper()
+	r := rng.New(uint64(n)*7 + uint64(k))
+	q := make([]float64, n)
+	var total float64
+	for i := range q {
+		q[i] = math.Abs(1 + 0.5*r.NormFloat64())
+		total += q[i]
+	}
+	for i := range q {
+		q[i] /= total
+	}
+	res, err := ConstructHistogram(sparse.FromDense(q), k, PaperOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Histogram
+}
+
+// TestHistogramBinarySizeVsJSON is the codec's size gate on the
+// 200,000-point mass-1 histogram: the binary envelope is smaller than the
+// JSON form at every k, and at most 1/3 of it at k = 1000.
+func TestHistogramBinarySizeVsJSON(t *testing.T) {
+	for _, k := range []int{10, 100, 1000} {
+		h := codecBenchHistogram(t, 200_000, k)
+		jsonBlob, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binBlob := encodeHistogram(t, h)
+		ratio := float64(len(binBlob)) / float64(len(jsonBlob))
+		if len(binBlob) >= len(jsonBlob) {
+			t.Errorf("k=%d: binary %d bytes, JSON %d bytes (ratio %.3f): want binary smaller",
+				k, len(binBlob), len(jsonBlob), ratio)
+		}
+		if k == 1000 && 3*len(binBlob) > len(jsonBlob) {
+			t.Errorf("k=%d: binary %d bytes, JSON %d bytes (ratio %.3f): want ≤ 1/3",
+				k, len(binBlob), len(jsonBlob), ratio)
+		}
+		t.Logf("k=%d: binary %d bytes (%.1f/piece), JSON %d bytes, ratio %.3f",
+			k, len(binBlob), float64(len(binBlob))/float64(h.NumPieces()), len(jsonBlob), ratio)
+	}
+}
+
 // TestHistogramBinaryLargeDomain is the regression test for the decoder's
 // length-sanity bound leaking onto value integers: a synopsis of a huge
 // domain is tiny on the wire (that is the whole point) and must round-trip

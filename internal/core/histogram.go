@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -102,43 +101,6 @@ func (h *Histogram) At(i int) float64 {
 	}
 	idx := h.index()
 	return idx.values[idx.find(i)]
-}
-
-// atLinear is the pre-index implementation of At, kept as the reference
-// oracle for the query-engine property tests: the indexed path must return
-// the bit-identical value for every point.
-func (h *Histogram) atLinear(i int) float64 {
-	if i < 1 || i > h.n {
-		panic(fmt.Sprintf("core: Histogram.At(%d) out of [1, %d]", i, h.n))
-	}
-	idx := sort.Search(len(h.pieces), func(j int) bool { return h.pieces[j].Hi >= i })
-	return h.pieces[idx].Value
-}
-
-// RangeSumScan is the retained O(pieces) range sum: clamp every piece to
-// [a, b] and accumulate in piece order. It computes the same quantity as
-// RangeSum (up to floating-point accumulation order) and exists only as the
-// linear baseline for the asymptotic benchmarks and the query property
-// tests — serving paths use RangeSum.
-func (h *Histogram) RangeSumScan(a, b int) float64 {
-	if a < 1 || b > h.n || a > b {
-		panic(fmt.Sprintf("core: Histogram.RangeSumScan(%d, %d) invalid for [1, %d]", a, b, h.n))
-	}
-	var total float64
-	for _, pc := range h.pieces {
-		lo, hi := pc.Lo, pc.Hi
-		if lo < a {
-			lo = a
-		}
-		if hi > b {
-			hi = b
-		}
-		if lo > hi {
-			continue
-		}
-		total += float64(hi-lo+1) * pc.Value
-	}
-	return total
 }
 
 // ToDense materializes the histogram as a dense vector of length n.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -10,6 +12,17 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sparse"
 )
+
+// atLinear is the pre-index implementation of At, kept as the reference
+// oracle for the query-engine property tests: the indexed path must return
+// the bit-identical value for every point.
+func (h *Histogram) atLinear(i int) float64 {
+	if i < 1 || i > h.n {
+		panic(fmt.Sprintf("core: Histogram.At(%d) out of [1, %d]", i, h.n))
+	}
+	idx := sort.Search(len(h.pieces), func(j int) bool { return h.pieces[j].Hi >= i })
+	return h.pieces[idx].Value
+}
 
 // rangeSumLinearRef is the linear reference oracle for RangeSum: an O(pieces)
 // scan that locates both endpoints by walking the pieces and replays the
@@ -200,12 +213,6 @@ func TestRangeSumMatchesClampedScan(t *testing.T) {
 			if math.Abs(got-want) > 1e-12*scale {
 				t.Fatalf("%v: RangeSum(%d, %d) = %v, clamped scan %v (scale %v)",
 					h, q[0], q[1], got, want, scale)
-			}
-			// The exported linear baseline must be the clamped scan exactly:
-			// benchmarks and the synopsis oracle lean on it.
-			if scan := h.RangeSumScan(q[0], q[1]); scan != want {
-				t.Fatalf("%v: RangeSumScan(%d, %d) = %v, independent clamped ref %v",
-					h, q[0], q[1], scan, want)
 			}
 		}
 	}

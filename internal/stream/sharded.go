@@ -438,8 +438,8 @@ func (s *Sharded) Compactions() int {
 }
 
 // IngestStats is a point-in-time snapshot of the engine's ingestion
-// behaviour — the raw material of the ingest benchmark's throughput and
-// pause-percentile cells.
+// behaviour — the raw material of the /metrics ingest families and
+// perfbench's stream.* metrics.
 type IngestStats struct {
 	Shards      int
 	Updates     int

@@ -288,8 +288,8 @@ func (m *Maintainer) Updates() int { return m.updates }
 func (m *Maintainer) Compactions() int { return m.compactions }
 
 // CompactionDurations appends the durations of the most recent compactions
-// (up to 512) to dst and returns it — the raw material of the ingestion
-// benchmark's pause percentiles: for the inline-compacting Maintainer every
+// (up to 512) to dst and returns it — the raw material of the /metrics
+// compaction quantiles: for the inline-compacting Maintainer every
 // compaction is an ingest pause.
 func (m *Maintainer) CompactionDurations(dst []time.Duration) []time.Duration {
 	return m.compactDur.snapshot(dst)

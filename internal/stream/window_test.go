@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -763,6 +764,75 @@ func TestWindowedValidation(t *testing.T) {
 	}
 	if one.Tick() != 1 {
 		t.Fatalf("tick %d, want 1", one.Tick())
+	}
+}
+
+// TestWindowQueryCostWithinFullHistory: on a wrapped 8-epoch ring (n =
+// 20,000, k = 16), a 3-epoch window query costs at most 3× the full-history
+// query. The windowed path combines m ring slots instead of all of them, so
+// the true ratio sits at or below 1; the 3× bound absorbs scheduler noise.
+func TestWindowQueryCostWithinFullHistory(t *testing.T) {
+	const (
+		n, k, epochs, bufferCap = 20_000, 16, 8, 1024
+		perEpoch, tail          = 2_000, 300
+		mEpochs, queries        = 3, 4_000
+	)
+	opts := core.DefaultOptions()
+	opts.Workers = 1
+	m, err := NewWindowedMaintainer(n, k, epochs, bufferCap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	add := func(count int) {
+		for i := 0; i < count; i++ {
+			if err := m.Add(1+rng.Intn(n), 1+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Seal epochs+2 epochs so the ring has wrapped and every slot is live,
+	// then leave a tail in the live epoch.
+	for e := 0; e < epochs+2; e++ {
+		add(perEpoch)
+		if err := m.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(tail)
+	// SummaryOver folds the tail into the live view, so neither timed loop
+	// pays a pending-log scan the other does not.
+	if _, err := m.SummaryOver(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	as := make([]int, queries)
+	bs := make([]int, queries)
+	for i := range as {
+		as[i] = 1 + rng.Intn(n)
+		bs[i] = as[i] + rng.Intn(n-as[i]+1)
+	}
+	cost := func(window int) time.Duration {
+		// An untimed warm-up builds the lazy slot indexes.
+		for i := 0; i < queries/10+1; i++ {
+			if _, err := m.EstimateRangeOver(as[i], bs[i], window, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := time.Now()
+		for i := range as {
+			if _, err := m.EstimateRangeOver(as[i], bs[i], window, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	full := cost(0)
+	windowed := cost(mEpochs)
+	if full <= 0 || windowed <= 0 {
+		t.Fatalf("non-positive timings: full %v, window %v", full, windowed)
+	}
+	if ratio := float64(windowed) / float64(full); ratio > 3 {
+		t.Errorf("%d-epoch window query is %.2fx the full-history query, want ≤ 3x", mEpochs, ratio)
 	}
 }
 

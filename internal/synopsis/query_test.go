@@ -25,6 +25,26 @@ func queryTestFreq(n, steps int) []float64 {
 	return freq
 }
 
+// estimateRangeLinear is the pre-index O(pieces) scan — clamp every piece
+// to [a, b] and accumulate in piece order — kept as the reference oracle the
+// indexed path is property-tested against (mathematically equal; the
+// accumulation order differs, so the comparison is up to float rounding —
+// the bit-identity oracle for the indexed semantics is core's linear replay
+// in the query tests).
+func (s histogramSynopsis) estimateRangeLinear(a, b int) (float64, error) {
+	if err := checkRange(a, b, s.h.N()); err != nil {
+		return 0, err
+	}
+	var total float64
+	for _, pc := range s.h.Pieces() {
+		lo, hi := max(pc.Lo, a), min(pc.Hi, b)
+		if lo <= hi {
+			total += float64(hi-lo+1) * pc.Value
+		}
+	}
+	return total, nil
+}
+
 // buildSynopses returns every synopsis construction on the same vector, by
 // name, so query properties are checked uniformly across estimators.
 func buildSynopses(t *testing.T, freq []float64, k int) map[string]Synopsis {

@@ -104,18 +104,6 @@ func (s histogramSynopsis) EstimateRange(a, b int) (float64, error) {
 	return s.h.RangeSum(a, b), nil
 }
 
-// estimateRangeLinear is the pre-index O(pieces) scan (core.RangeSumScan),
-// kept as the reference oracle the indexed path is property-tested against
-// (mathematically equal; the accumulation order differs, so the comparison
-// is up to float rounding — the bit-identity oracle for the indexed
-// semantics is core's linear replay in the query tests).
-func (s histogramSynopsis) estimateRangeLinear(a, b int) (float64, error) {
-	if err := checkRange(a, b, s.h.N()); err != nil {
-		return 0, err
-	}
-	return s.h.RangeSumScan(a, b), nil
-}
-
 func (s histogramSynopsis) Pieces() int { return s.h.NumPieces() }
 func (s histogramSynopsis) N() int      { return s.h.N() }
 

@@ -121,8 +121,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats is a point-in-time snapshot of the log's write-side counters — the
-// raw material of the /metrics WAL families and the durable-ingest
-// benchmark cells.
+// raw material of the /metrics WAL families and perfbench's wal.* metrics.
 type Stats struct {
 	// Appends is the total records appended; AppendedBytes the total frame
 	// bytes they encoded to.
@@ -173,8 +172,8 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu    sync.Mutex
-	cond  sync.Cond // broadcast on write/sync progress and ioBusy release
+	mu   sync.Mutex
+	cond sync.Cond // broadcast on write/sync progress and ioBusy release
 	// pending accumulates encoded frames not yet handed to a write; spare
 	// is the idle half of the double buffer (nil while a flush owns it).
 	pending     []byte

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // writeSnap returns a snapshot writer that emits a recognizable payload.
@@ -543,6 +544,45 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 		t.Fatalf("replayed %d, want %d", seen, G*per)
 	}
 	l2.Close()
+}
+
+// TestWALSyncEveryCoalescesSequentialAppends: one producer appending in
+// sequence fsyncs strictly fewer times at SyncEvery = 64 than at
+// SyncEvery = 1. Each append waits until the flusher has written it, so the
+// records reach the file one flush at a time, as from a producer slower
+// than the flusher, and only the SyncEvery policy decides how many of those
+// flushes fsync. SyncInterval is an hour, so the interval never does.
+func TestWALSyncEveryCoalescesSequentialAppends(t *testing.T) {
+	const appends = 128
+	fsyncs := func(syncEvery int) int64 {
+		l := mustCreate(t, t.TempDir(), Options{SyncEvery: syncEvery, SyncInterval: time.Hour})
+		for i := 0; i < appends; i++ {
+			seq, err := l.Append([]int{i + 1, 2 * (i + 1)}, []float64{1.5, float64(i)})
+			if err != nil {
+				t.Fatalf("Append %d: %v", i, err)
+			}
+			l.mu.Lock()
+			for l.writtenSeq < seq && l.err == nil {
+				l.cond.Wait()
+			}
+			l.mu.Unlock()
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		st := l.Stats()
+		if st.Appends != appends || st.AppendedBytes <= 0 || st.Fsyncs <= 0 {
+			t.Fatalf("sync-every=%d: log recorded nothing: %+v", syncEvery, st)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return st.Fsyncs
+	}
+	every1, every64 := fsyncs(1), fsyncs(64)
+	if every64 >= every1 {
+		t.Errorf("fsyncs: sync-every=1 %d, sync-every=64 %d — no group-commit coalescing", every1, every64)
+	}
 }
 
 // TestWALOpenErrors: the paths that must fail do fail.
