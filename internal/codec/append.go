@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 )
 
 // Append-into-frame helpers: the allocation-free face of the envelope
-// format, used by the serving layer's zero-copy response path.
+// format, used by the serving layer's zero-copy response path and by the
+// stream engines' snapshots and deltas, which leave in a single write.
 //
 // The Writer/Reader pair streams through an io.Writer/io.Reader and feeds a
 // running hash.Hash32 one small write at a time — the right shape for
@@ -17,9 +19,10 @@ import (
 // bytes. These helpers instead build one complete envelope in a caller-owned
 // []byte (typically a pooled response buffer): header appended up front,
 // payload appended in place, and the CRC-32C footer computed by one
-// hardware-accelerated pass over the filled region. The bytes produced are
-// identical to the Writer's for the same payload, and ParseFrame accepts
-// either producer's envelopes.
+// hardware-accelerated pass over the filled region. The Writer's sequence
+// methods encode through these helpers, so both producers emit identical
+// bytes for the same payload, and ParseFrame accepts either producer's
+// envelopes.
 
 // AppendFrameHeader appends the 6-byte envelope header (magic, version, tag)
 // for a frame starting at len(dst) and returns the extended slice. Pair with
@@ -44,10 +47,11 @@ func AppendFloat64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-// AppendDeltaInts appends a strictly increasing integer sequence exactly as
-// Writer.DeltaInts does: length prefix, first element as a varint, gaps as
-// uvarints. Like the Writer it panics on a non-increasing sequence —
-// encoders only pass validated boundaries.
+// AppendDeltaInts appends a strictly increasing integer sequence as a
+// length prefix, the first element as a varint, and successive gaps as
+// uvarints. It panics if the sequence is not strictly increasing — encoders
+// only pass validated boundaries, and a silent wrap would corrupt the
+// stream. Writer.DeltaInts writes the same bytes through this function.
 func AppendDeltaInts(dst []byte, xs []int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(xs)))
 	prev := 0
@@ -65,9 +69,19 @@ func AppendDeltaInts(dst []byte, xs []int) []byte {
 	return dst
 }
 
-// AppendPackedFloat64s appends a length prefix followed by the XOR-delta
-// byte-aligned packing Writer.PackedFloat64s produces — bit-identical bytes,
-// no intermediate buffer.
+// leadingZeroBytes returns how many of x's most significant bytes are zero,
+// 0..8.
+func leadingZeroBytes(x uint64) int { return bits.LeadingZeros64(x|1) / 8 }
+
+// AppendPackedFloat64s appends a length prefix followed by the values
+// XOR-delta compressed byte-aligned (the Gorilla idea, simplified): each
+// value's bits are XORed with the previous value's, a 4-bit control records
+// how many leading bytes of the XOR are zero, and only the remaining bytes
+// are written big-endian. Neighboring histogram piece values share sign,
+// exponent, and high mantissa bits, so this typically stores 6–7 bytes per
+// value instead of 8 while remaining exactly bit-identical on decode.
+// Control nibbles are packed two per byte ahead of their values' payloads.
+// Writer.PackedFloat64s writes the same bytes through this function.
 func AppendPackedFloat64s(dst []byte, fs []float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(fs)))
 	var prev uint64
@@ -165,6 +179,18 @@ func (p *FramePayload) Varint() (int64, error) {
 	return v, nil
 }
 
+// Int reads a non-negative int value under Reader.Int's bound.
+func (p *FramePayload) Int() (int, error) {
+	u, err := p.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if u > math.MaxInt64/2 {
+		return 0, fmt.Errorf("codec: integer %d out of range", u)
+	}
+	return int(u), nil
+}
+
 // SliceLen reads a length prefix under the same sanity bound Reader.SliceLen
 // enforces.
 func (p *FramePayload) SliceLen() (int, error) {
@@ -178,8 +204,8 @@ func (p *FramePayload) SliceLen() (int, error) {
 	return int(u), nil
 }
 
-// Byte reads one raw payload byte.
-func (p *FramePayload) Byte() (byte, error) {
+// ReadByte reads one raw payload byte.
+func (p *FramePayload) ReadByte() (byte, error) {
 	if p.off >= len(p.buf) {
 		return 0, fmt.Errorf("codec: reading byte at offset %d", p.off)
 	}
@@ -218,6 +244,10 @@ func (p *FramePayload) DeltaInts() ([]int, error) {
 	k, err := p.SliceLen()
 	if err != nil {
 		return nil, err
+	}
+	// Every element takes at least one byte.
+	if k > len(p.buf)-p.off {
+		return nil, fmt.Errorf("codec: %d-element sequence in %d payload bytes", k, len(p.buf)-p.off)
 	}
 	const maxElem = int64(1) << 48
 	xs := make([]int, k)
@@ -258,14 +288,14 @@ func (p *FramePayload) PackedFloat64s(dst []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < k {
-		dst = make([]float64, k)
-	} else {
-		dst = dst[:k]
+	// Every pair of values takes at least its control byte.
+	if (k+1)/2 > len(p.buf)-p.off {
+		return nil, fmt.Errorf("codec: %d packed values in %d payload bytes", k, len(p.buf)-p.off)
 	}
+	dst = growFloat64s(dst, k)
 	var prev uint64
 	for i := 0; i < k; i += 2 {
-		ctrl, err := p.Byte()
+		ctrl, err := p.ReadByte()
 		if err != nil {
 			return nil, err
 		}
@@ -293,6 +323,15 @@ func (p *FramePayload) PackedFloat64s(dst []float64) ([]float64, error) {
 		}
 	}
 	return dst, nil
+}
+
+// growFloat64s returns dst resliced to length k, reallocated only when its
+// capacity is short.
+func growFloat64s(dst []float64, k int) []float64 {
+	if cap(dst) < k {
+		return make([]float64, k)
+	}
+	return dst[:k]
 }
 
 // bigEndianTail reads nb big-endian bytes into the low bytes of a uint64.

@@ -172,7 +172,7 @@ func TestAppendPackedFloat64sDecodableByReader(t *testing.T) {
 		if _, err := r.Header(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.PackedFloat64s()
+		got, err := r.PackedFloat64s(nil)
 		if err != nil {
 			t.Fatalf("PackedFloat64s(%v): %v", fs, err)
 		}

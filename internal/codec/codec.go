@@ -24,9 +24,11 @@
 // concatenated on one stream.
 //
 // Per-type payload encoders live next to their types (core, piecewise,
-// quantile, wavelet, synopsis, stream) as Encode*Payload / Decode*Payload
-// functions over this package's Writer and Reader; the top-level package
-// dispatches on the type tag. Version 1 is pinned by golden fixtures under
+// quantile, wavelet, synopsis) as Encode*Payload / Decode*Payload functions
+// over this package's Writer and Reader; stream builds its envelopes with
+// the Append* helpers and decodes through Source, which Reader and
+// FramePayload both satisfy. The top-level package dispatches on the type
+// tag. Version 1 is pinned by golden fixtures under
 // testdata/ — future versions must keep decoding it.
 package codec
 
@@ -38,7 +40,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 )
 
 // Version is the current format version written by every encoder. Decoders
@@ -90,9 +91,35 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // O(k) with k orders of magnitude below this.
 const maxElems = 1 << 28
 
+// preallocElems caps the capacity Reader reserves for a declared sequence
+// length when its source cannot report how many bytes remain (see
+// Reader.reserve).
+const preallocElems = 1 << 12
+
 // ErrChecksum is returned by Reader.Close when the footer CRC does not match
 // the consumed envelope bytes.
 var ErrChecksum = errors.New("codec: checksum mismatch")
+
+// Source is the payload vocabulary both decoders speak: Reader over a
+// streamed envelope (CRC checked at Close) and FramePayload over an
+// in-memory frame (CRC checked up front by ParseFrame). A payload decoder
+// written against Source reads either byte source with the same
+// validation.
+type Source interface {
+	ReadByte() (byte, error)
+	Uvarint() (uint64, error)
+	Varint() (int64, error)
+	Int() (int, error)
+	SliceLen() (int, error)
+	FiniteFloat64() (float64, error)
+	DeltaInts() ([]int, error)
+	PackedFloat64s(dst []float64) ([]float64, error)
+}
+
+var (
+	_ Source = (*Reader)(nil)
+	_ Source = (*FramePayload)(nil)
+)
 
 // A Writer frames one object: NewWriter emits the envelope header, the
 // payload methods append to the running CRC, and Close appends the footer.
@@ -103,6 +130,9 @@ type Writer struct {
 	n   int64
 	err error
 	buf [binary.MaxVarintLen64]byte
+	// scratch holds a sequence encoded by its Append* twin before one raw
+	// write.
+	scratch []byte
 }
 
 // NewWriter starts an envelope with the given type tag on w.
@@ -145,7 +175,7 @@ func (e *Writer) Varint(v int64) {
 // Int appends a non-negative int as a uvarint.
 func (e *Writer) Int(v int) { e.Uvarint(uint64(v)) }
 
-// Byte appends a single byte (via the scratch buffer — no allocation).
+// Byte appends a single byte (via buf — no allocation).
 func (e *Writer) Byte(b byte) {
 	e.buf[0] = b
 	e.raw(e.buf[:1])
@@ -165,56 +195,43 @@ func (e *Writer) Float64s(fs []float64) {
 	}
 }
 
-// leadingZeroBytes returns how many of x's most significant bytes are zero,
-// 0..8.
-func leadingZeroBytes(x uint64) int { return bits.LeadingZeros64(x|1) / 8 }
-
-// PackedFloat64s appends a length prefix followed by the values XOR-delta
-// compressed byte-aligned (the Gorilla idea, simplified): each value's bits
-// are XORed with the previous value's, a 4-bit control records how many
-// leading bytes of the XOR are zero, and only the remaining bytes are
-// written big-endian. Neighboring histogram piece values share sign,
-// exponent, and high mantissa bits, so this typically stores 6–7 bytes per
-// value instead of 8 while remaining exactly bit-identical on decode.
-// Control nibbles are packed two per byte ahead of their values' payloads.
+// PackedFloat64s appends values in AppendPackedFloat64s's XOR-packed
+// layout.
 func (e *Writer) PackedFloat64s(fs []float64) {
-	e.Int(len(fs))
-	var prev uint64
-	for i := 0; i < len(fs); i += 2 {
-		x1 := math.Float64bits(fs[i]) ^ prev
-		prev = math.Float64bits(fs[i])
-		lz1 := leadingZeroBytes(x1)
-		var x2 uint64
-		lz2 := 8
-		if i+1 < len(fs) {
-			x2 = math.Float64bits(fs[i+1]) ^ prev
-			prev = math.Float64bits(fs[i+1])
-			lz2 = leadingZeroBytes(x2)
-		}
-		e.Byte(byte(lz1<<4) | byte(lz2))
-		e.bigEndianTail(x1, 8-lz1)
-		if i+1 < len(fs) {
-			e.bigEndianTail(x2, 8-lz2)
-		}
-	}
+	e.scratch = AppendPackedFloat64s(e.scratch[:0], fs)
+	e.raw(e.scratch)
 }
 
-// bigEndianTail writes the low nb bytes of x, most significant first.
-func (e *Writer) bigEndianTail(x uint64, nb int) {
-	for b := nb - 1; b >= 0; b-- {
-		e.buf[nb-1-b] = byte(x >> (8 * b))
+// reserve returns the capacity to allocate for a declared sequence of k
+// elements, each at least 1/perByte of a byte long, so that a corrupt length
+// never costs more memory than the input backing it. A source that reports
+// the bytes left (bytes.Reader, bytes.Buffer, strings.Reader) gets k
+// checked against them and reserved whole; any other source gets at most
+// preallocElems, and the sequence grows by append as its bytes arrive.
+func (d *Reader) reserve(k, perByte int) (int, error) {
+	if r, ok := d.r.(interface{ Len() int }); ok {
+		if left := r.Len(); k > perByte*left {
+			return 0, fmt.Errorf("codec: %d elements declared with %d bytes left", k, left)
+		}
+		return k, nil
 	}
-	e.raw(e.buf[:nb])
+	return min(k, preallocElems), nil
 }
 
-// PackedFloat64s reads a sequence written by Writer.PackedFloat64s,
-// rejecting malformed control nibbles and non-finite values.
-func (d *Reader) PackedFloat64s() ([]float64, error) {
+// PackedFloat64s reads a sequence written by Writer.PackedFloat64s into
+// dst, reallocating it only when too small, and rejects malformed control
+// nibbles and non-finite values.
+func (d *Reader) PackedFloat64s(dst []float64) ([]float64, error) {
 	k, err := d.SliceLen()
 	if err != nil {
 		return nil, err
 	}
-	fs := make([]float64, k)
+	// Every pair of values takes at least its control byte.
+	n, err := d.reserve(k, 2)
+	if err != nil {
+		return nil, err
+	}
+	fs := growFloat64s(dst, n)[:0]
 	var prev uint64
 	for i := 0; i < k; i += 2 {
 		ctrl, err := d.ReadByte()
@@ -230,24 +247,27 @@ func (d *Reader) PackedFloat64s() ([]float64, error) {
 			return nil, err
 		}
 		prev ^= x
-		if fs[i], err = finite(prev); err != nil {
+		f, err := finite(prev)
+		if err != nil {
 			return nil, err
 		}
+		fs = append(fs, f)
 		if i+1 < k {
 			x, err := d.bigEndianTail(8 - lz2)
 			if err != nil {
 				return nil, err
 			}
 			prev ^= x
-			if fs[i+1], err = finite(prev); err != nil {
+			if f, err = finite(prev); err != nil {
 				return nil, err
 			}
+			fs = append(fs, f)
 		}
 	}
 	return fs, nil
 }
 
-// bigEndianTail reads nb bytes written by Writer.bigEndianTail.
+// bigEndianTail reads nb bytes written by appendBigEndianTail.
 func (d *Reader) bigEndianTail(nb int) (uint64, error) {
 	if nb == 0 {
 		return 0, nil
@@ -270,24 +290,11 @@ func finite(bits uint64) (float64, error) {
 	return f, nil
 }
 
-// DeltaInts appends a strictly increasing integer sequence as a length
-// prefix, the first element as a varint, and successive gaps as uvarints.
-// It panics if the sequence is not strictly increasing — encoders only pass
-// validated boundaries, and a silent wrap would corrupt the stream.
+// DeltaInts appends a strictly increasing integer sequence in
+// AppendDeltaInts's layout, panicking like it on a non-increasing one.
 func (e *Writer) DeltaInts(xs []int) {
-	e.Int(len(xs))
-	prev := 0
-	for i, x := range xs {
-		if i == 0 {
-			e.Varint(int64(x))
-		} else {
-			if x <= prev {
-				panic(fmt.Sprintf("codec: DeltaInts not strictly increasing: %d after %d", x, prev))
-			}
-			e.Uvarint(uint64(x - prev))
-		}
-		prev = x
-	}
+	e.scratch = AppendDeltaInts(e.scratch[:0], xs)
+	e.raw(e.scratch)
 }
 
 // Len returns the number of bytes written so far (header included; footer
@@ -443,11 +450,17 @@ func (d *Reader) Float64s() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := make([]float64, k)
-	for i := range fs {
-		if fs[i], err = d.FiniteFloat64(); err != nil {
+	n, err := d.reserve(k, 1)
+	if err != nil {
+		return nil, err
+	}
+	fs := make([]float64, 0, n)
+	for range k {
+		f, err := d.FiniteFloat64()
+		if err != nil {
 			return nil, err
 		}
+		fs = append(fs, f)
 	}
 	return fs, nil
 }
@@ -462,9 +475,14 @@ func (d *Reader) DeltaInts() ([]int, error) {
 	// Elements are bounded well below overflow (but far above any length
 	// bound: boundary values range over the domain size, which can be
 	// billions) so the accumulation below cannot wrap undetected.
+	// Every element takes at least one byte.
+	n, err := d.reserve(k, 1)
+	if err != nil {
+		return nil, err
+	}
 	const maxElem = int64(1) << 48
-	xs := make([]int, k)
-	for i := range xs {
+	xs := make([]int, 0, n)
+	for i := range k {
 		if i == 0 {
 			v, err := d.Varint()
 			if err != nil {
@@ -473,7 +491,7 @@ func (d *Reader) DeltaInts() ([]int, error) {
 			if v < -maxElem || v > maxElem {
 				return nil, fmt.Errorf("codec: sequence start %d out of range", v)
 			}
-			xs[0] = int(v)
+			xs = append(xs, int(v))
 			continue
 		}
 		gap, err := d.Uvarint()
@@ -487,7 +505,7 @@ func (d *Reader) DeltaInts() ([]int, error) {
 		if next <= xs[i-1] {
 			return nil, fmt.Errorf("codec: sequence overflow at element %d", i)
 		}
-		xs[i] = next
+		xs = append(xs, next)
 	}
 	return xs, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -130,7 +131,7 @@ func TestPackedFloat64sRoundTrip(t *testing.T) {
 	seqs = append(seqs, random)
 	for _, want := range seqs {
 		rd, _ := roundTrip(t, TagHistogram, func(w *Writer) { w.PackedFloat64s(want) })
-		got, err := rd.PackedFloat64s()
+		got, err := rd.PackedFloat64s(nil)
 		if err != nil {
 			t.Fatalf("PackedFloat64s(%v): %v", want, err)
 		}
@@ -165,7 +166,7 @@ func TestPackedFloat64sRejects(t *testing.T) {
 	// Non-finite values are rejected on decode.
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		r, _ := roundTrip(t, TagHistogram, func(w *Writer) { w.PackedFloat64s([]float64{1, bad}) })
-		if _, err := r.PackedFloat64s(); err == nil {
+		if _, err := r.PackedFloat64s(nil); err == nil {
 			t.Fatalf("PackedFloat64s accepted %v", bad)
 		}
 	}
@@ -174,7 +175,7 @@ func TestPackedFloat64sRejects(t *testing.T) {
 		w.Int(1)
 		w.Byte(0x90)
 	})
-	if _, err := r.PackedFloat64s(); err == nil {
+	if _, err := r.PackedFloat64s(nil); err == nil {
 		t.Fatal("PackedFloat64s accepted control nibble 9")
 	}
 }
@@ -277,5 +278,55 @@ func TestConcatenatedEnvelopes(t *testing.T) {
 	}
 	if stream.Len() != 0 {
 		t.Fatalf("%d bytes left over after three envelopes", stream.Len())
+	}
+}
+
+// TestDeclaredLengthsAllocateNothing declares the largest length SliceLen
+// accepts (2^28 elements, 2 GiB as ints or floats) in a few-byte payload.
+// Every sequence decoder must fail without allocating for the declaration:
+// Reader checks it against the bytes a bytes.Reader has left, or grows as
+// bytes arrive from a source that cannot tell, and FramePayload checks it
+// against the payload.
+func TestDeclaredLengthsAllocateNothing(t *testing.T) {
+	payload := AppendUvarint(nil, maxElems)
+	payload = append(payload, 1, 2, 3)
+	frame := FinishFrame(append(AppendFrameHeader(nil, TagHistogram), payload...), 0)
+	opaque := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
+	decoders := map[string]func(Source) error{
+		"DeltaInts":      func(s Source) error { _, err := s.DeltaInts(); return err },
+		"PackedFloat64s": func(s Source) error { _, err := s.PackedFloat64s(nil); return err },
+	}
+	for name, decode := range decoders {
+		sources := map[string]func() Source{
+			"Reader over bytes": func() Source {
+				r := NewReader(bytes.NewReader(frame))
+				r.Header()
+				return r
+			},
+			"Reader over a stream": func() Source {
+				r := NewReader(opaque(frame))
+				r.Header()
+				return r
+			},
+			"FramePayload": func() Source { p := NewFramePayload(payload); return &p },
+		}
+		for src, open := range sources {
+			s := open()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := decode(s)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s from %s accepted 2^28 declared elements", name, src)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("%s from %s allocated %d bytes for a declared length", name, src, grew)
+			}
+		}
+	}
+	r := NewReader(bytes.NewReader(frame))
+	r.Header()
+	if _, err := r.Float64s(); err == nil {
+		t.Fatal("Float64s accepted 2^28 declared elements")
 	}
 }

@@ -55,7 +55,7 @@ func DecodeHistogramPayload(r *codec.Reader) (*Histogram, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding histogram: %w", err)
 	}
-	values, err := r.PackedFloat64s()
+	values, err := r.PackedFloat64s(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func DecodeSparsePayload(r *codec.Reader) (*sparse.Func, error) {
 	if err != nil {
 		return nil, err
 	}
-	values, err := r.PackedFloat64s()
+	values, err := r.PackedFloat64s(nil)
 	if err != nil {
 		return nil, err
 	}

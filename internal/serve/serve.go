@@ -372,12 +372,8 @@ func decodeAny(r io.Reader) (any, error) {
 		v, err = wavelet.DecodePayload(dec)
 	case codec.TagEstimator:
 		v, err = synopsis.DecodeEstimatorPayload(dec)
-	case codec.TagMaintainer:
-		v, err = stream.DecodeMaintainerPayload(dec)
-	case codec.TagSharded:
-		v, err = stream.DecodeShardedPayload(dec)
-	case codec.TagWindowed:
-		v, err = stream.DecodeWindowedPayload(dec)
+	case codec.TagMaintainer, codec.TagSharded, codec.TagWindowed:
+		v, err = stream.DecodePayload(dec, tag)
 	default:
 		return nil, fmt.Errorf("serve: envelope type tag %d is not servable", tag)
 	}

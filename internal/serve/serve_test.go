@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/quantile"
 	"repro/internal/sparse"
@@ -549,5 +550,49 @@ func TestServeErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestPutHugeDeclaredSizesIsNot5xx pushes a 40-byte maintainer snapshot
+// whose header declares a 2^40-entry update buffer, and a complete delta
+// declaring the same — the body a replica's PUT carries. Preallocating the
+// declared buffer would kill the process ("fatal error: runtime: out of
+// memory"); both must get a non-5xx reply, and the hosted engine must
+// answer.
+func TestPutHugeDeclaredSizesIsNot5xx(t *testing.T) {
+	cfg := codec.AppendUvarint(nil, 100)  // n
+	cfg = codec.AppendUvarint(cfg, 4)     // k
+	cfg = codec.AppendFloat64(cfg, 1)     // δ
+	cfg = codec.AppendFloat64(cfg, 1)     // γ
+	cfg = codec.AppendVarint(cfg, 1)      // workers
+	cfg = codec.AppendUvarint(cfg, 1<<40) // buffer capacity
+	emptyState := []byte{0, 0, 0, 0, 0}   // counters, no view, empty log
+	frame := func(tag byte, parts ...[]byte) []byte {
+		dst := codec.AppendFrameHeader(nil, tag)
+		for _, p := range parts {
+			dst = append(dst, p...)
+		}
+		return codec.FinishFrame(dst, 0)
+	}
+	snapshot := frame(codec.TagMaintainer, cfg, emptyState)
+	if len(snapshot) != 40 {
+		t.Fatalf("snapshot body is %d bytes, want 40", len(snapshot))
+	}
+	// Delta: epoch 1, one shard, carried from version 0 to 0.
+	delta := frame(codec.TagShardedDelta, cfg, []byte{1, 1, 1, 0, 0, 0}, emptyState)
+	srv := NewServer(&Config{Workers: 1})
+	for _, body := range [][]byte{snapshot, delta} {
+		req := httptest.NewRequest(http.MethodPut, "/v1/x/snapshot", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ContentSnapshot)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("PUT of a %d-byte body: status %d: %s", len(body), rec.Code, rec.Body.String())
+		}
+		rec = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/x/range?a=1&b=100", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("range query after a %d-byte PUT: status %d: %s", len(body), rec.Code, rec.Body.String())
+		}
 	}
 }

@@ -58,27 +58,6 @@ func EncodePointsBody(w io.Writer, xs []int) error {
 	return enc.Close()
 }
 
-// DecodePointsBody reads a point-query batch, enforcing maxBatch before any
-// allocation is sized by untrusted input.
-func DecodePointsBody(r io.Reader, maxBatch int) ([]int, error) {
-	dec, n, err := bodyHeader(r, tagPointsBody, maxBatch)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]int, n)
-	for i := range xs {
-		v, err := dec.Varint()
-		if err != nil {
-			return nil, err
-		}
-		xs[i] = int(v)
-	}
-	if err := dec.Close(); err != nil {
-		return nil, err
-	}
-	return xs, nil
-}
-
 // EncodeRangesBody frames a range-query batch as (a, b) varint pairs.
 func EncodeRangesBody(w io.Writer, as, bs []int) error {
 	if len(as) != len(bs) {
@@ -91,31 +70,6 @@ func EncodeRangesBody(w io.Writer, as, bs []int) error {
 		enc.Varint(int64(bs[i]))
 	}
 	return enc.Close()
-}
-
-// DecodeRangesBody reads a range-query batch.
-func DecodeRangesBody(r io.Reader, maxBatch int) (as, bs []int, err error) {
-	dec, n, err := bodyHeader(r, tagRangesBody, maxBatch)
-	if err != nil {
-		return nil, nil, err
-	}
-	as = make([]int, n)
-	bs = make([]int, n)
-	for i := range as {
-		a, err := dec.Varint()
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := dec.Varint()
-		if err != nil {
-			return nil, nil, err
-		}
-		as[i], bs[i] = int(a), int(b)
-	}
-	if err := dec.Close(); err != nil {
-		return nil, nil, err
-	}
-	return as, bs, nil
 }
 
 // EncodeAddBody frames an ingest batch: points plus optional per-point
@@ -139,44 +93,6 @@ func EncodeAddBody(w io.Writer, points []int, weights []float64) error {
 	return enc.Close()
 }
 
-// DecodeAddBody reads an ingest batch. Weights, when present, are decoded by
-// the codec's packed-float reader, which rejects NaN and ±Inf — the binary
-// body gets the same strictness JSON gets from its grammar.
-func DecodeAddBody(r io.Reader, maxBatch int) (points []int, weights []float64, err error) {
-	dec, n, err := bodyHeader(r, tagAddBody, maxBatch)
-	if err != nil {
-		return nil, nil, err
-	}
-	points = make([]int, n)
-	for i := range points {
-		v, err := dec.Varint()
-		if err != nil {
-			return nil, nil, err
-		}
-		points[i] = int(v)
-	}
-	flag, err := dec.ReadByte()
-	if err != nil {
-		return nil, nil, err
-	}
-	switch flag {
-	case 0:
-	case 1:
-		if weights, err = dec.PackedFloat64s(); err != nil {
-			return nil, nil, err
-		}
-		if len(weights) != len(points) {
-			return nil, nil, fmt.Errorf("serve: %d weights for %d points", len(weights), len(points))
-		}
-	default:
-		return nil, nil, fmt.Errorf("serve: bad weights flag %d", flag)
-	}
-	if err := dec.Close(); err != nil {
-		return nil, nil, err
-	}
-	return points, weights, nil
-}
-
 // EncodeValuesBody frames a response value vector with the codec's XOR-packed
 // raw-bits encoding: bit-identical floats in fewer bytes than either JSON or
 // plain little-endian.
@@ -196,7 +112,7 @@ func DecodeValuesBody(r io.Reader) ([]float64, error) {
 	if tag != tagValuesBody {
 		return nil, fmt.Errorf("serve: body holds tag %#02x, want values frame", tag)
 	}
-	values, err := dec.PackedFloat64s()
+	values, err := dec.PackedFloat64s(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -208,8 +124,8 @@ func DecodeValuesBody(r io.Reader) ([]float64, error) {
 
 // --- Zero-copy body codecs. ---
 //
-// The Encode*/Decode* functions above stream through the codec's
-// Writer/Reader — the right shape for clients and tests. The serving hot
+// The Encode* functions above (and DecodeValuesBody) stream through the
+// codec's Writer/Reader — the right shape for clients and tests. The serving hot
 // path instead uses the byte-slice forms below: the complete request body is
 // read into a pooled buffer, checksum-verified in one pass, and parsed in
 // place; the response is appended directly into the outgoing HSYN frame held
@@ -228,8 +144,7 @@ func AppendValuesBody(dst []byte, values []float64) []byte {
 }
 
 // parseBodyHeader verifies a complete request frame held in buf (checksum
-// first, then tag and batch length) and returns the payload cursor — the
-// byte-slice twin of bodyHeader.
+// first, then tag and batch length) and returns the payload cursor.
 func parseBodyHeader(buf []byte, wantTag byte, maxBatch int) (codec.FramePayload, int, error) {
 	tag, payload, err := codec.ParseFrame(buf)
 	if err != nil {
@@ -250,8 +165,8 @@ func parseBodyHeader(buf []byte, wantTag byte, maxBatch int) (codec.FramePayload
 }
 
 // ParsePointsBody parses a complete point-query frame held in buf, writing
-// the points into xs (grown only when too small) — DecodePointsBody without
-// the per-request allocations.
+// the points into xs (grown only when too small), so a steady request
+// stream allocates nothing.
 func ParsePointsBody(buf []byte, maxBatch int, xs []int) ([]int, error) {
 	p, n, err := parseBodyHeader(buf, tagPointsBody, maxBatch)
 	if err != nil {
@@ -272,8 +187,7 @@ func ParsePointsBody(buf []byte, maxBatch int, xs []int) ([]int, error) {
 }
 
 // ParseRangesBody parses a complete range-query frame held in buf into as
-// and bs (each grown only when too small) — DecodeRangesBody without the
-// per-request allocations.
+// and bs (each grown only when too small).
 func ParseRangesBody(buf []byte, maxBatch int, as, bs []int) (outAs, outBs []int, err error) {
 	p, n, err := parseBodyHeader(buf, tagRangesBody, maxBatch)
 	if err != nil {
@@ -299,11 +213,11 @@ func ParseRangesBody(buf []byte, maxBatch int, as, bs []int) (outAs, outBs []int
 }
 
 // ParseAddBody parses a complete ingest frame held in buf into xs and ws
-// (each grown only when too small) — DecodeAddBody without the per-request
-// allocations. The returned weights slice is nil when the frame carries the
-// no-weights flag, so callers keep their own buffer for reuse; when weights
-// are present they go through the codec's packed-float parser, which rejects
-// NaN and ±Inf exactly like the streaming decoder.
+// (each grown only when too small). The returned weights slice is nil when
+// the frame carries the no-weights flag, so callers keep their own buffer
+// for reuse; when weights are present they go through the codec's
+// packed-float parser, which rejects NaN and ±Inf — the binary body gets the
+// same strictness JSON gets from its grammar.
 func ParseAddBody(buf []byte, maxBatch int, xs []int, ws []float64) (points []int, weights []float64, err error) {
 	p, n, err := parseBodyHeader(buf, tagAddBody, maxBatch)
 	if err != nil {
@@ -317,7 +231,7 @@ func ParseAddBody(buf []byte, maxBatch int, xs []int, ws []float64) (points []in
 		}
 		xs[i] = int(v)
 	}
-	flag, err := p.Byte()
+	flag, err := p.ReadByte()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -346,25 +260,4 @@ func growInts(xs []int, n int) []int {
 		return make([]int, n)
 	}
 	return xs[:n]
-}
-
-// bodyHeader validates a request frame's envelope prefix, tag, and batch
-// length — the shared head of every binary request decoder.
-func bodyHeader(r io.Reader, wantTag byte, maxBatch int) (*codec.Reader, int, error) {
-	dec := codec.NewReader(r)
-	tag, err := dec.Header()
-	if err != nil {
-		return nil, 0, err
-	}
-	if tag != wantTag {
-		return nil, 0, fmt.Errorf("serve: body holds tag %#02x, want %#02x", tag, wantTag)
-	}
-	n, err := dec.SliceLen()
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > maxBatch {
-		return nil, 0, fmt.Errorf("serve: batch of %d exceeds the server's limit of %d", n, maxBatch)
-	}
-	return dec, n, nil
 }

@@ -7,11 +7,13 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/stream"
 )
@@ -30,6 +32,55 @@ func addBodies(t *testing.T, n, batch int) (points []int, weights []float64, wit
 	return points, weights, withW, noW
 }
 
+// decodeAddBody reads an ingest batch through the streaming codec.Reader —
+// an independent decoder of the same frame, the oracle ParseAddBody is
+// checked against.
+func decodeAddBody(r io.Reader, maxBatch int) (points []int, weights []float64, err error) {
+	dec := codec.NewReader(r)
+	tag, err := dec.Header()
+	if err != nil {
+		return nil, nil, err
+	}
+	if tag != tagAddBody {
+		return nil, nil, fmt.Errorf("serve: body holds tag %#02x, want %#02x", tag, tagAddBody)
+	}
+	n, err := dec.SliceLen()
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > maxBatch {
+		return nil, nil, fmt.Errorf("serve: batch of %d exceeds the server's limit of %d", n, maxBatch)
+	}
+	points = make([]int, n)
+	for i := range points {
+		v, err := dec.Varint()
+		if err != nil {
+			return nil, nil, err
+		}
+		points[i] = int(v)
+	}
+	flag, err := dec.ReadByte()
+	if err != nil {
+		return nil, nil, err
+	}
+	switch flag {
+	case 0:
+	case 1:
+		if weights, err = dec.PackedFloat64s(nil); err != nil {
+			return nil, nil, err
+		}
+		if len(weights) != len(points) {
+			return nil, nil, fmt.Errorf("serve: %d weights for %d points", len(weights), len(points))
+		}
+	default:
+		return nil, nil, fmt.Errorf("serve: bad weights flag %d", flag)
+	}
+	if err := dec.Close(); err != nil {
+		return nil, nil, err
+	}
+	return points, weights, nil
+}
+
 func TestParseAddBodyMatchesStreamingDecode(t *testing.T) {
 	wantPts, wantWs, withW, noW := addBodies(t, 100000, 300)
 
@@ -38,7 +89,7 @@ func TestParseAddBodyMatchesStreamingDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		decPts, decWs, err := DecodeAddBody(bytes.NewReader(body), 1000)
+		decPts, decWs, err := decodeAddBody(bytes.NewReader(body), 1000)
 		if err != nil {
 			t.Fatalf("%s: streaming decode: %v", name, err)
 		}
@@ -75,7 +126,7 @@ func TestParseAddBodyMatchesStreamingDecode(t *testing.T) {
 	if _, _, err := ParseAddBody(withW, 299, nil, nil); err == nil {
 		t.Fatal("over-limit ingest batch accepted")
 	}
-	if _, _, err := DecodeAddBody(bytes.NewReader(withW), 299); err == nil {
+	if _, _, err := decodeAddBody(bytes.NewReader(withW), 299); err == nil {
 		t.Fatal("streaming decoder accepted the over-limit batch")
 	}
 }

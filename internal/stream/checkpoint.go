@@ -3,8 +3,6 @@ package stream
 import (
 	"io"
 
-	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/sparse"
 )
 
@@ -30,10 +28,8 @@ import (
 // the non-blocking capture; crash-restart wants Snapshot's bit-identical
 // resume.
 type Checkpoint struct {
-	n, k      int
-	opts      core.Options
-	bufferCap int
-	states    []maintainerState
+	engineConfig
+	states []maintainerState
 	// epoch and versions are the replication coordinates of the capture:
 	// the engine instance it came from and, per shard, the version counter
 	// at the moment that shard was captured (read under the same lock as
@@ -41,10 +37,6 @@ type Checkpoint struct {
 	// {shard, fromVersion, toVersion} triples.
 	epoch    uint64
 	versions []uint64
-	// windowEpochs is the captured engine's sliding-window span (0 when
-	// plain); when set, every state carries its epoch ring and WriteTo emits
-	// the TagWindowed envelope instead of TagSharded.
-	windowEpochs int
 }
 
 // Checkpoint captures the engine's current state without waiting for
@@ -52,18 +44,27 @@ type Checkpoint struct {
 // locks, giving the same per-shard consistency Summary and Snapshot offer
 // under concurrent ingestion: each shard contributes exactly the updates it
 // had absorbed when visited.
-func (s *Sharded) Checkpoint() (*Checkpoint, error) {
+func (s *Sharded) Checkpoint() (*Checkpoint, error) { return s.capture(false) }
+
+// capture is Checkpoint, first waiting out each shard's in-flight
+// compaction when wait is set.
+func (s *Sharded) capture(wait bool) (*Checkpoint, error) {
 	c := &Checkpoint{
-		n: s.n, k: s.k, opts: s.opts,
-		bufferCap: s.shards[0].bufCap,
-		states:    make([]maintainerState, len(s.shards)),
-		epoch:        s.epoch,
-		versions:     make([]uint64, len(s.shards)),
-		windowEpochs: s.windowEpochs,
+		engineConfig: engineConfig{
+			n: s.n, k: s.k, opts: s.opts,
+			bufferCap:    s.shards[0].bufCap,
+			windowEpochs: s.windowEpochs,
+		},
+		states:   make([]maintainerState, len(s.shards)),
+		epoch:    s.epoch,
+		versions: make([]uint64, len(s.shards)),
 	}
 	var combined []sparse.Entry
 	for i, sh := range s.shards {
 		sh.mu.Lock()
+		for wait && sh.compacting {
+			sh.cond.Wait()
+		}
 		if sh.err != nil {
 			err := sh.err
 			sh.mu.Unlock()
@@ -74,15 +75,30 @@ func (s *Sharded) Checkpoint() (*Checkpoint, error) {
 		// updates the installed view does not yet contain. Both are safe to
 		// read under mu: the compactor only reads inflight, and install runs
 		// under mu.
-		combined = combined[:0]
-		combined = append(combined, sh.inflight...)
-		combined = append(combined, sh.active...)
+		combined = append(append(combined[:0], sh.inflight...), sh.active...)
 		c.states[i] = captureState(sh.m, combined)
 		c.states[i].updates = sh.updates
 		c.versions[i] = sh.version
 		sh.mu.Unlock()
 	}
 	return c, nil
+}
+
+// Snapshot writes a checkpoint of the sharded engine as one binary envelope:
+// every shard's installed summary view plus its pending update log. It does
+// not force any compaction — in-flight background compactions are waited
+// out (work the uninterrupted run performs anyway), but buffered updates
+// stay buffered, so the restored engine's future compaction groupings (and
+// therefore its floating-point results) match the uninterrupted run's
+// exactly. Shards are captured one at a time under their locks, giving the
+// same per-shard consistency Summary offers under concurrent ingestion.
+func (s *Sharded) Snapshot(w io.Writer) error {
+	c, err := s.capture(true)
+	if err != nil {
+		return err
+	}
+	_, err = c.WriteTo(w)
+	return err
 }
 
 // Shards returns the captured shard count.
@@ -106,20 +122,12 @@ func (c *Checkpoint) Updates() int {
 	return total
 }
 
-// WriteTo encodes the checkpoint as one TagSharded binary envelope — the
-// same format Sharded.Snapshot writes, so RestoreSharded (and the top-level
-// Decode) reads it. A checkpoint is immutable: WriteTo may be called any
-// number of times and always emits identical bytes.
+// WriteTo encodes the checkpoint as one envelope — TagSharded, or
+// TagWindowed for a windowed engine; the same bytes Sharded.Snapshot writes,
+// so RestoreSharded (and the top-level Decode) reads it — in a single Write.
+// A checkpoint is immutable: WriteTo may be called any number of times and
+// always emits identical bytes.
 func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
-	if c.windowEpochs > 0 {
-		return writeWindowedSharded(w, c.n, c.k, c.opts, c.bufferCap, c.windowEpochs, c.states)
-	}
-	enc := codec.NewWriter(w, codec.TagSharded)
-	encodeConfig(enc, c.n, c.k, c.opts, c.bufferCap)
-	enc.Int(len(c.states))
-	for i := range c.states {
-		c.states[i].encode(enc)
-	}
-	err := enc.Close()
-	return enc.Len(), err
+	n, err := w.Write(c.appendSnapshot(nil, c.states, false))
+	return int64(n), err
 }

@@ -4,40 +4,34 @@ import (
 	"fmt"
 
 	"repro/internal/codec"
-	"repro/internal/core"
-	"repro/internal/interval"
-	"repro/internal/sparse"
 )
 
 // Delta checkpoints: replication proportional to change, not state.
 //
 // A full TagSharded envelope re-ships every shard on every sync even when one
 // shard changed. The delta frame (TagShardedDelta, or TagShardedDeltaW for a
-// windowed engine) instead carries a header of {shard, fromVersion,
-// toVersion} triples plus ONLY the changed shards' summary views and pending
-// logs. Versions are the per-shard counters
-// Sharded maintains (bumped on every pending-log mutation and every
-// compaction install), captured consistently with the state by Checkpoint;
-// the epoch scopes them to one engine life, so a restarted primary can never
-// alias a replica's stale vector.
+// windowed engine) instead carries {shard, fromVersion, toVersion} triples
+// plus ONLY the changed shards' states, in the layout snapshot.go describes.
+// Versions are the per-shard counters Sharded maintains (bumped on every
+// pending-log mutation and every compaction install), captured consistently
+// with the state by Checkpoint; the epoch scopes them to one engine life, so
+// a restarted primary can never alias a replica's stale vector.
 //
-// The frame is built with the append-style zero-copy builder (one CRC-32C
-// pass over the finished region) and parsed in place from a single buffer —
-// the same machinery as the binary query bodies, because delta frames are
-// serving-layer wire artifacts, not persistent snapshots. A delta built with
-// a nil since-vector includes every shard with fromVersion 0: the "complete"
-// delta, which doubles as the full-resync payload (a replica can rebuild an
-// engine from it with no prior state).
+// Delta frames are serving-layer wire artifacts, not persistent snapshots:
+// they are parsed in place from one buffer whose CRC-32C is verified before
+// any field is read. A delta built with a nil since-vector includes every
+// shard with fromVersion 0: the "complete" delta, which doubles as the
+// full-resync payload (a replica can rebuild an engine from it with no
+// prior state).
 
 // AppendDelta appends one complete delta envelope to dst and returns the
-// extended slice: TagShardedDelta for a plain engine (the layout every
-// release has shipped) or TagShardedDeltaW for a windowed one, which adds
-// the window span to the header and each carried shard's epoch ring after
-// its state. since is the requesting replica's version vector (from this
-// checkpoint's epoch): shards whose captured version differs from since[i]
-// are included with fromVersion since[i]. A nil since requests a complete
-// delta: every shard, fromVersion 0. A checkpoint is immutable, so repeated
-// calls with the same since emit identical bytes.
+// extended slice: TagShardedDelta for a plain engine or TagShardedDeltaW for
+// a windowed one, whose header adds the window span and whose states carry
+// their epoch rings. since is the requesting replica's version vector (from
+// this checkpoint's epoch): shards whose captured version differs from
+// since[i] are included with fromVersion since[i]. A nil since requests a
+// complete delta: every shard, fromVersion 0. A checkpoint is immutable, so
+// repeated calls with the same since emit identical bytes.
 func (c *Checkpoint) AppendDelta(dst []byte, since []uint64) ([]byte, error) {
 	if since != nil && len(since) != len(c.states) {
 		return nil, fmt.Errorf("stream: since vector has %d entries for %d shards", len(since), len(c.states))
@@ -48,15 +42,7 @@ func (c *Checkpoint) AppendDelta(dst []byte, since []uint64) ([]byte, error) {
 		tag = codec.TagShardedDeltaW
 	}
 	dst = codec.AppendFrameHeader(dst, tag)
-	dst = codec.AppendUvarint(dst, uint64(c.n))
-	dst = codec.AppendUvarint(dst, uint64(c.k))
-	dst = codec.AppendFloat64(dst, c.opts.Delta)
-	dst = codec.AppendFloat64(dst, c.opts.Gamma)
-	dst = codec.AppendVarint(dst, int64(c.opts.Workers))
-	dst = codec.AppendUvarint(dst, uint64(c.bufferCap))
-	if c.windowEpochs > 0 {
-		dst = codec.AppendUvarint(dst, uint64(c.windowEpochs))
-	}
+	dst = c.engineConfig.append(dst)
 	dst = codec.AppendUvarint(dst, c.epoch)
 	dst = codec.AppendUvarint(dst, uint64(len(c.states)))
 	changed := make([]int, 0, len(c.states))
@@ -75,76 +61,20 @@ func (c *Checkpoint) AppendDelta(dst []byte, since []uint64) ([]byte, error) {
 		dst = codec.AppendUvarint(dst, from)
 		dst = codec.AppendUvarint(dst, c.versions[i])
 	}
-	var vals []float64
 	for _, i := range changed {
-		dst, vals = appendState(dst, &c.states[i], vals)
-		if c.windowEpochs > 0 {
-			// A windowed engine's shard state includes its epoch ring: the
-			// sealed summaries are version-bearing state (Advance bumps the
-			// shard version), so a delta must carry them.
-			dst = appendRing(dst, c.states[i].ring)
-		}
+		dst = appendState(dst, &c.states[i])
 	}
 	return codec.FinishFrame(dst, start), nil
 }
 
-// appendRing appends one epoch ring in the same shape encodeRing writes.
-func appendRing(dst []byte, r *capturedRing) []byte {
-	dst = codec.AppendUvarint(dst, r.tick)
-	dst = codec.AppendUvarint(dst, uint64(len(r.slots)))
-	for _, h := range r.slots {
-		pieces := h.Pieces()
-		ends := make([]int, len(pieces))
-		vals := make([]float64, len(pieces))
-		for i, pc := range pieces {
-			ends[i] = pc.Hi
-			vals[i] = pc.Value
-		}
-		dst = codec.AppendDeltaInts(dst, ends)
-		dst = codec.AppendPackedFloat64s(dst, vals)
-	}
-	return dst
-}
-
-// appendState appends one shard state in the same shape maintainerState.encode
-// writes: counters, view flag (+ boundaries, packed values, certified error),
-// then the pending log as indices followed by packed values. vals is scratch
-// reused across shards.
-func appendState(dst []byte, st *maintainerState, vals []float64) ([]byte, []float64) {
-	dst = codec.AppendUvarint(dst, uint64(st.updates))
-	dst = codec.AppendUvarint(dst, uint64(st.compactions))
-	if st.hasView {
-		dst = append(dst, 1)
-		dst = codec.AppendDeltaInts(dst, st.ends)
-		dst = codec.AppendPackedFloat64s(dst, st.values)
-		dst = codec.AppendFloat64(dst, st.viewErr)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = codec.AppendUvarint(dst, uint64(len(st.log)))
-	vals = vals[:0]
-	for _, e := range st.log {
-		dst = codec.AppendUvarint(dst, uint64(e.Index))
-		vals = append(vals, e.Value)
-	}
-	dst = codec.AppendPackedFloat64s(dst, vals)
-	return dst, vals
-}
-
 // ShardedDelta is a parsed, validated delta frame, ready to apply.
 type ShardedDelta struct {
-	n, k      int
-	opts      core.Options
-	bufferCap int
-	// windowEpochs is the source engine's sliding-window span (0 when
-	// plain); when set, every carried state's ring field holds its epoch
-	// ring.
-	windowEpochs int
-	epoch        uint64
-	total        int
-	shards       []int
-	from, to     []uint64
-	states       []maintainerState
+	engineConfig
+	epoch    uint64
+	total    int
+	shards   []int
+	from, to []uint64
+	states   []maintainerState
 }
 
 // Epoch returns the engine epoch the delta was captured from.
@@ -188,28 +118,15 @@ func (d *ShardedDelta) Complete() bool {
 	return true
 }
 
-// payloadInt reads a non-negative counter with Reader.Int's bound (counters
-// like updates legitimately exceed the SliceLen sanity bound).
-func payloadInt(p *codec.FramePayload) (int, error) {
-	u, err := p.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if u > (1 << 62) {
-		return 0, fmt.Errorf("stream: integer %d out of range", u)
-	}
-	return int(u), nil
-}
-
 // ParseShardedDelta validates one complete delta frame (magic, version, tag,
 // CRC-32C footer) and decodes it in place — states reference freshly decoded
 // slices, never the input buffer, so the frame buffer may be recycled after
 // the call. Both layouts are accepted: TagShardedDelta (plain engine) and
-// TagShardedDeltaW (windowed engine, with the window span and per-shard
-// epoch rings). Every shape and range check decodeState applies to full
-// checkpoints is applied here, plus the delta-specific ones: strictly
-// increasing shard indices inside the engine's shard count, and per-shard
-// version transitions that do not go backwards.
+// TagShardedDeltaW (windowed engine). States get the checks full
+// checkpoints get, so applying them cannot fail midway through mutating a
+// live engine, plus the delta-specific ones: strictly increasing shard
+// indices inside the engine's shard count, and per-shard version
+// transitions that do not go backwards.
 func ParseShardedDelta(frame []byte) (*ShardedDelta, error) {
 	tag, payload, err := codec.ParseFrame(frame)
 	if err != nil {
@@ -220,42 +137,8 @@ func ParseShardedDelta(frame []byte) (*ShardedDelta, error) {
 	}
 	p := codec.NewFramePayload(payload)
 	d := &ShardedDelta{}
-	if d.n, err = payloadInt(&p); err != nil {
+	if d.engineConfig, err = decodeConfig(&p, tag == codec.TagShardedDeltaW); err != nil {
 		return nil, err
-	}
-	if d.k, err = payloadInt(&p); err != nil {
-		return nil, err
-	}
-	if d.opts.Delta, err = p.FiniteFloat64(); err != nil {
-		return nil, err
-	}
-	if d.opts.Gamma, err = p.FiniteFloat64(); err != nil {
-		return nil, err
-	}
-	workers, err := p.Varint()
-	if err != nil {
-		return nil, err
-	}
-	d.opts.Workers = int(workers)
-	if d.bufferCap, err = payloadInt(&p); err != nil {
-		return nil, err
-	}
-	if d.n < 1 || d.k < 1 {
-		return nil, fmt.Errorf("stream: delta with n=%d, k=%d", d.n, d.k)
-	}
-	if err := d.opts.Validate(); err != nil {
-		return nil, err
-	}
-	if d.bufferCap < 1 {
-		return nil, fmt.Errorf("stream: delta with buffer capacity %d", d.bufferCap)
-	}
-	if tag == codec.TagShardedDeltaW {
-		if d.windowEpochs, err = payloadInt(&p); err != nil {
-			return nil, err
-		}
-		if d.windowEpochs < 1 {
-			return nil, fmt.Errorf("stream: windowed delta with a %d-epoch window", d.windowEpochs)
-		}
 	}
 	if d.epoch, err = p.Uvarint(); err != nil {
 		return nil, err
@@ -273,12 +156,9 @@ func ParseShardedDelta(frame []byte) (*ShardedDelta, error) {
 	if changed > d.total {
 		return nil, fmt.Errorf("stream: delta carries %d of %d shards", changed, d.total)
 	}
-	d.shards = make([]int, changed)
-	d.from = make([]uint64, changed)
-	d.to = make([]uint64, changed)
 	prev := -1
-	for j := 0; j < changed; j++ {
-		idx, err := payloadInt(&p)
+	for range changed {
+		idx, err := p.Int()
 		if err != nil {
 			return nil, err
 		}
@@ -286,160 +166,32 @@ func ParseShardedDelta(frame []byte) (*ShardedDelta, error) {
 			return nil, fmt.Errorf("stream: delta shard index %d after %d (of %d)", idx, prev, d.total)
 		}
 		prev = idx
-		d.shards[j] = idx
-		if d.from[j], err = p.Uvarint(); err != nil {
+		from, err := p.Uvarint()
+		if err != nil {
 			return nil, err
 		}
-		if d.to[j], err = p.Uvarint(); err != nil {
+		to, err := p.Uvarint()
+		if err != nil {
 			return nil, err
 		}
-		if d.to[j] < d.from[j] {
-			return nil, fmt.Errorf("stream: shard %d version going backwards (%d → %d)", idx, d.from[j], d.to[j])
+		if to < from {
+			return nil, fmt.Errorf("stream: shard %d version going backwards (%d → %d)", idx, from, to)
 		}
+		d.shards = append(d.shards, idx)
+		d.from = append(d.from, from)
+		d.to = append(d.to, to)
 	}
-	d.states = make([]maintainerState, changed)
-	for j := range d.states {
-		if d.states[j], err = parseStatePayload(&p, d.n); err != nil {
-			return nil, fmt.Errorf("stream: delta shard %d: %w", d.shards[j], err)
+	for _, idx := range d.shards {
+		st, err := decodeState(&p, d.n, d.windowEpochs)
+		if err != nil {
+			return nil, fmt.Errorf("stream: delta shard %d: %w", idx, err)
 		}
-		// Pre-validate the partition now so ApplyDelta cannot fail midway
-		// through mutating a live engine on a malformed frame.
-		if d.states[j].hasView {
-			if _, err := interval.FromBoundaries(d.n, d.states[j].ends); err != nil {
-				return nil, fmt.Errorf("stream: delta shard %d summary: %w", d.shards[j], err)
-			}
-		}
-		if d.windowEpochs > 0 {
-			// Ring slots are fully validated here (FromBoundaries +
-			// NewHistogram), so applying them later cannot fail midway.
-			if d.states[j].ring, err = parseRingPayload(&p, d.n, d.windowEpochs); err != nil {
-				return nil, fmt.Errorf("stream: delta shard %d: %w", d.shards[j], err)
-			}
-		}
+		d.states = append(d.states, st)
 	}
 	if err := p.Done(); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-// parseStatePayload is decodeState over a zero-copy frame cursor.
-func parseStatePayload(p *codec.FramePayload, n int) (maintainerState, error) {
-	var st maintainerState
-	var err error
-	if st.updates, err = payloadInt(p); err != nil {
-		return st, err
-	}
-	if st.compactions, err = payloadInt(p); err != nil {
-		return st, err
-	}
-	flag, err := p.Byte()
-	if err != nil {
-		return st, err
-	}
-	switch flag {
-	case 0:
-	case 1:
-		st.hasView = true
-		if st.ends, err = p.DeltaInts(); err != nil {
-			return st, err
-		}
-		if st.values, err = p.PackedFloat64s(nil); err != nil {
-			return st, err
-		}
-		if len(st.values) != len(st.ends) {
-			return st, fmt.Errorf("%d view values for %d pieces", len(st.values), len(st.ends))
-		}
-		if st.viewErr, err = p.FiniteFloat64(); err != nil {
-			return st, err
-		}
-		if st.viewErr < 0 {
-			return st, fmt.Errorf("negative summary error %v", st.viewErr)
-		}
-	default:
-		return st, fmt.Errorf("bad view flag %d", flag)
-	}
-	logLen, err := p.SliceLen()
-	if err != nil {
-		return st, err
-	}
-	idxs := make([]int, logLen)
-	for i := range idxs {
-		if idxs[i], err = payloadInt(p); err != nil {
-			return st, err
-		}
-		if idxs[i] < 1 || idxs[i] > n {
-			return st, fmt.Errorf("buffered point %d out of [1, %d]", idxs[i], n)
-		}
-	}
-	vals, err := p.PackedFloat64s(nil)
-	if err != nil {
-		return st, err
-	}
-	if len(vals) != logLen {
-		return st, fmt.Errorf("%d buffered values for %d points", len(vals), logLen)
-	}
-	st.log = make([]sparse.Entry, logLen)
-	for i := range st.log {
-		st.log[i] = sparse.Entry{Index: idxs[i], Value: vals[i]}
-	}
-	return st, nil
-}
-
-// parseRingPayload is decodeRing over a zero-copy frame cursor.
-func parseRingPayload(p *codec.FramePayload, n, epochs int) (*capturedRing, error) {
-	tick, err := p.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	count, err := p.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	if count > epochs-1 {
-		return nil, fmt.Errorf("%d sealed epochs in a %d-epoch window", count, epochs)
-	}
-	if uint64(count) > tick {
-		return nil, fmt.Errorf("%d sealed epochs after %d ticks", count, tick)
-	}
-	ring := &capturedRing{tick: tick}
-	for i := 0; i < count; i++ {
-		ends, err := p.DeltaInts()
-		if err != nil {
-			return nil, err
-		}
-		vals, err := p.PackedFloat64s(nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != len(ends) {
-			return nil, fmt.Errorf("epoch slot with %d values for %d pieces", len(vals), len(ends))
-		}
-		part, err := interval.FromBoundaries(n, ends)
-		if err != nil {
-			return nil, fmt.Errorf("epoch slot %d: %w", i, err)
-		}
-		ring.slots = append(ring.slots, core.NewHistogram(n, part, vals))
-	}
-	return ring, nil
-}
-
-// replaceState swaps the maintainer's entire checkpoint-observable state for
-// a decoded one, dropping any staged-but-uninstalled view and the memoized
-// histogram. Unlike apply (which only installs onto a fresh maintainer), a
-// replacement must also clear a previously installed view when the incoming
-// state has none.
-func (m *Maintainer) replaceState(st *maintainerState) error {
-	m.hist = nil
-	m.staged = summaryView{}
-	m.stagedOK = false
-	if !st.hasView {
-		m.updates = st.updates
-		m.compactions = st.compactions
-		m.view = summaryView{}
-		return nil
-	}
-	return st.apply(m)
 }
 
 // NewShardedFromDelta rebuilds a fresh engine from a complete delta — the
@@ -451,30 +203,12 @@ func NewShardedFromDelta(d *ShardedDelta) (*Sharded, error) {
 	if !d.Complete() {
 		return nil, fmt.Errorf("stream: delta carries %d of %d shards — not a complete state", len(d.shards), d.total)
 	}
-	var s *Sharded
-	var err error
-	if d.windowEpochs > 0 {
-		s, err = NewWindowedSharded(d.n, d.k, d.windowEpochs, d.total, d.bufferCap, d.opts)
-	} else {
-		s, err = NewSharded(d.n, d.k, d.total, d.bufferCap, d.opts)
-	}
+	s, err := d.newSharded(d.total)
 	if err != nil {
 		return nil, err
 	}
-	for j, idx := range d.shards {
-		sh := s.shards[idx]
-		st := &d.states[j]
-		if err := st.apply(sh.m); err != nil {
-			return nil, fmt.Errorf("stream: shard %d: %w", idx, err)
-		}
-		if st.ring != nil {
-			st.ring.install(sh.m)
-		}
-		sh.updates = st.updates
-		if len(st.log) > cap(sh.active) {
-			sh.active = make([]sparse.Entry, 0, len(st.log))
-		}
-		sh.active = append(sh.active[:0], st.log...)
+	if err := s.installStates(d.shards, d.states); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -505,32 +239,5 @@ func (s *Sharded) ApplyDelta(d *ShardedDelta) error {
 	if d.windowEpochs != s.windowEpochs {
 		return fmt.Errorf("stream: delta with %d-epoch window against engine's %d", d.windowEpochs, s.windowEpochs)
 	}
-	for j, idx := range d.shards {
-		sh := s.shards[idx]
-		sh.mu.Lock()
-		for sh.compacting {
-			sh.cond.Wait()
-		}
-		if sh.err != nil {
-			err := sh.err
-			sh.mu.Unlock()
-			return err
-		}
-		st := &d.states[j]
-		if err := sh.m.replaceState(st); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("stream: shard %d: %w", idx, err)
-		}
-		if st.ring != nil {
-			st.ring.install(sh.m)
-		}
-		sh.updates = st.updates
-		if len(st.log) > cap(sh.active) {
-			sh.active = make([]sparse.Entry, 0, len(st.log))
-		}
-		sh.active = append(sh.active[:0], st.log...)
-		sh.version++
-		sh.mu.Unlock()
-	}
-	return nil
+	return s.installStates(d.shards, d.states)
 }

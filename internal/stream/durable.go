@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -162,7 +163,9 @@ func RecoverDurableSharded(opts DurableOptions) (*DurableSharded, error) {
 		l.Close()
 		return nil, err
 	}
-	s, err := RestoreSharded(f)
+	// The file holds exactly one envelope, so reading ahead is harmless,
+	// and it spares the decoder a read(2) per field.
+	s, err := RestoreSharded(bufio.NewReader(f))
 	f.Close()
 	if err != nil {
 		l.Close()
@@ -548,7 +551,7 @@ func RecoverDurableMaintainer(opts DurableOptions) (*DurableMaintainer, error) {
 		l.Close()
 		return nil, err
 	}
-	m, err := RestoreMaintainer(f)
+	m, err := RestoreMaintainer(bufio.NewReader(f))
 	f.Close()
 	if err != nil {
 		l.Close()

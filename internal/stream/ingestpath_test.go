@@ -270,7 +270,7 @@ func TestMaintainerMergeInMatchesReconstructOracle(t *testing.T) {
 // happening. This is the behavior the lazy merge-in buys.
 func TestMaintainerLazyEstimateRangeExactOnConcentratedStream(t *testing.T) {
 	r := rng.New(389)
-	n, k := 1 << 20, 4
+	n, k := 1<<20, 4
 	m, err := NewMaintainer(n, k, 128, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -346,12 +346,13 @@ func TestEstimateRangesOverKeepsNegativeZero(t *testing.T) {
 	if _, err := sharded.Summary(); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []*Maintainer{plain, windowed, sharded.shards[0].m} {
-		st := captureState(m, nil)
+	for _, owner := range []struct {
+		m   *Maintainer
+		log *[]sparse.Entry
+	}{{plain, &plain.buffer}, {windowed, &windowed.buffer}, {sharded.shards[0].m, &sharded.shards[0].active}} {
+		st := captureState(owner.m, *owner.log)
 		st.values[0] = negZero
-		if err := st.apply(m); err != nil {
-			t.Fatal(err)
-		}
+		st.install(owner.m, owner.log)
 	}
 	one := []int{1}
 	for _, tc := range []struct {

@@ -65,8 +65,9 @@ type ingestShard struct {
 
 	// active is the log producers append to (guarded by mu).
 	active []sparse.Entry
-	// spare is the idle half of the double buffer; nil exactly while a
-	// background compaction owns the other half.
+	// spare is the idle half of the double buffer; nil while a background
+	// compaction owns the other half. Both halves start nil and grow by
+	// append to the flush threshold, then are recycled.
 	spare []sparse.Entry
 	// inflight is the log the background compaction is folding. Readers
 	// under mu may scan it (the compaction only reads it too); it is reset
@@ -117,12 +118,7 @@ func NewSharded(n, k, shards, bufferCap int, opts core.Options) (*Sharded, error
 		if err != nil {
 			return nil, err
 		}
-		sh := &ingestShard{
-			active: make([]sparse.Entry, 0, m.bufferCap),
-			spare:  make([]sparse.Entry, 0, m.bufferCap),
-			m:      m,
-			bufCap: m.bufferCap,
-		}
+		sh := &ingestShard{m: m, bufCap: m.bufferCap}
 		sh.cond.L = &sh.mu
 		s.shards[i] = sh
 	}

@@ -10,213 +10,410 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file implements checkpoint/restore for the streaming intake engines:
-// a Maintainer or Sharded can be snapshotted mid-stream — summary views AND
-// the pending (uncompacted) update logs — and restored in a fresh process
-// that resumes bit-identically: the restored engine produces the same
-// summaries, the same EstimateRange answers, and the same future compaction
-// groupings as the uninterrupted run, because a snapshot never forces a
-// compaction (that would change when merging runs happen and therefore what
-// they see).
+// The stream state codec: one writer, one reader and one installer behind
+// every streaming-engine envelope.
 //
-// What is persisted: configuration (n, k, options, buffer capacity, shard
-// count), the installed summary view per maintainer (partition, values,
-// certified error — prefix masses are derived and rebuilt in the same
-// accumulation order, hence bit-identically), the pending update log in
-// arrival order (dedup order is part of the floating-point semantics), and
-// the updates/compactions counters. Timing telemetry (compaction/pause
-// duration rings) is not state and starts empty after a restore.
+// A Maintainer or Sharded is checkpointed mid-stream — summary views AND the
+// pending (uncompacted) update logs — and restored in a fresh process that
+// resumes bit-identically: the same summaries, the same EstimateRange
+// answers, and the same future compaction groupings as the uninterrupted
+// run, because a checkpoint never forces a compaction (that would change
+// when merging runs happen and therefore what they see). Timing telemetry
+// (compaction/pause duration rings) is not state and starts empty.
+//
+// Five envelopes carry one layout. Every one opens with the engine
+// configuration
+//
+//	config = Int(n) | Int(k) | Float64(δ) | Float64(γ) | Varint(workers) | Int(bufferCap)
+//	         [| Int(windowEpochs)]   — windowed envelopes only
+//
+// and carries shard states:
+//
+//	TagMaintainer     config | state
+//	TagSharded        config | Int(shards) | state × shards
+//	TagWindowed       config | Byte(mode) | mode 0: state; mode 1: Int(shards) | state × shards
+//	TagShardedDelta   config | Uvarint(epoch) | Int(shards) | Int(changed)
+//	(TagShardedDeltaW)       | {Int(shard), Uvarint(from), Uvarint(to)} × changed | state × changed
+//
+// A state is one maintainer's installed view, counters and pending log —
+// the log in arrival order, because dedup order is part of the
+// floating-point semantics — followed, in a windowed envelope, by its epoch
+// ring:
+//
+//	state = Int(updates) | Int(compactions) | Byte(hasView)
+//	        [| pieces | Float64(view error)]
+//	        | Int(logLen) | Int(index) × logLen | PackedFloat64s(weights)
+//	        [| Uvarint(tick) | Int(slots) | pieces × slots]
+//	pieces = DeltaInts(right endpoints) | PackedFloat64s(values)
+//
+// Sealed ring slots are O(k)-piece summaries over [1, n], oldest first.
+// Prefix masses are derived: install rebuilds them with the live engine's
+// left-to-right accumulation, so restored views answer bit-identically.
+//
+// Full snapshots decode from a streamed codec.Reader, whose CRC is checked
+// after the object is built; deltas from a codec.FramePayload, whose CRC
+// ParseFrame checks first. decodeState reads both through codec.Source. No
+// decoded size sizes an allocation ahead of the bytes that back it: logs,
+// rings and shard lists grow by append.
 
-// encodeConfig writes the engine configuration shared by both checkpoint
-// payloads.
-func encodeConfig(w *codec.Writer, n, k int, opts core.Options, bufferCap int) {
-	w.Int(n)
-	w.Int(k)
-	w.Float64(opts.Delta)
-	w.Float64(opts.Gamma)
-	w.Varint(int64(opts.Workers))
-	w.Int(bufferCap)
+// Windowed-envelope body modes.
+const (
+	windowedModeMaintainer byte = 0
+	windowedModeSharded    byte = 1
+)
+
+// engineConfig is the configuration header every stream envelope opens
+// with.
+type engineConfig struct {
+	n, k      int
+	opts      core.Options
+	bufferCap int
+	// windowEpochs is the sliding-window span (0 when plain); only windowed
+	// envelopes carry it.
+	windowEpochs int
 }
 
-func decodeConfig(r *codec.Reader) (n, k int, opts core.Options, bufferCap int, err error) {
-	if n, err = r.Int(); err != nil {
+func (c *engineConfig) append(dst []byte) []byte {
+	dst = codec.AppendUvarint(dst, uint64(c.n))
+	dst = codec.AppendUvarint(dst, uint64(c.k))
+	dst = codec.AppendFloat64(dst, c.opts.Delta)
+	dst = codec.AppendFloat64(dst, c.opts.Gamma)
+	dst = codec.AppendVarint(dst, int64(c.opts.Workers))
+	dst = codec.AppendUvarint(dst, uint64(c.bufferCap))
+	if c.windowEpochs > 0 {
+		dst = codec.AppendUvarint(dst, uint64(c.windowEpochs))
+	}
+	return dst
+}
+
+// decodeConfig reads and validates the header append wrote; windowed says
+// whether the envelope carries the window span.
+func decodeConfig(src codec.Source, windowed bool) (c engineConfig, err error) {
+	if c.n, err = src.Int(); err != nil {
 		return
 	}
-	if k, err = r.Int(); err != nil {
+	if c.k, err = src.Int(); err != nil {
 		return
 	}
-	if opts.Delta, err = r.FiniteFloat64(); err != nil {
+	if c.opts.Delta, err = src.FiniteFloat64(); err != nil {
 		return
 	}
-	if opts.Gamma, err = r.FiniteFloat64(); err != nil {
+	if c.opts.Gamma, err = src.FiniteFloat64(); err != nil {
 		return
 	}
 	var workers int64
-	if workers, err = r.Varint(); err != nil {
+	if workers, err = src.Varint(); err != nil {
 		return
 	}
-	opts.Workers = int(workers)
-	if bufferCap, err = r.Int(); err != nil {
+	c.opts.Workers = int(workers)
+	if c.bufferCap, err = src.Int(); err != nil {
 		return
 	}
-	if n < 1 || k < 1 {
-		err = fmt.Errorf("stream: checkpoint with n=%d, k=%d", n, k)
+	if c.n < 1 || c.k < 1 {
+		err = fmt.Errorf("stream: checkpoint with n=%d, k=%d", c.n, c.k)
 		return
 	}
-	if err = opts.Validate(); err != nil {
+	if err = c.opts.Validate(); err != nil {
 		return
 	}
-	if bufferCap < 1 {
-		err = fmt.Errorf("stream: checkpoint with buffer capacity %d", bufferCap)
+	if c.bufferCap < 1 {
+		err = fmt.Errorf("stream: checkpoint with buffer capacity %d", c.bufferCap)
+		return
+	}
+	if windowed {
+		if c.windowEpochs, err = src.Int(); err != nil {
+			return
+		}
+		if c.windowEpochs < 1 {
+			err = fmt.Errorf("stream: windowed checkpoint with %d epochs", c.windowEpochs)
+		}
 	}
 	return
 }
 
-// maintainerState is one maintainer's snapshot-relevant state in flat form:
-// the installed view, the counters, and a pending update log (the
-// Maintainer's own buffer, or the owning shard's active log).
+// newSharded builds the empty engine the configuration describes.
+func (c *engineConfig) newSharded(shards int) (*Sharded, error) {
+	if c.windowEpochs > 0 {
+		return NewWindowedSharded(c.n, c.k, c.windowEpochs, shards, c.bufferCap, c.opts)
+	}
+	return NewSharded(c.n, c.k, shards, c.bufferCap, c.opts)
+}
+
+// maintainerState is one maintainer's checkpoint-observable state, detached
+// from its engine: counters, installed view, a pending update log (the
+// Maintainer's own buffer, or the owning shard's logs) and, on a windowed
+// engine, the epoch ring.
 type maintainerState struct {
 	updates     int
 	compactions int
-	hasView     bool
-	ends        []int
-	values      []float64
-	viewErr     float64
-	log         []sparse.Entry
-	// ring is the sealed-epoch ring of a windowed maintainer (nil when
-	// plain). It is NOT part of encode/decode — that layout is frozen for
-	// TagMaintainer/TagSharded; the windowed envelope writes the ring as a
-	// suffix after each state (see windowsnap.go).
-	ring *capturedRing
+	// part and values are the installed view (part nil when empty), viewErr
+	// its certified error.
+	part    interval.Partition
+	values  []float64
+	viewErr float64
+	log     []sparse.Entry
+	ring    *capturedRing
 }
 
-// captureState copies the maintainer's snapshot-relevant state. The copies
-// make the capture safe to encode after the owner's lock is released: the
-// view's backing arrays are double-buffered compaction scratch that the next
-// compaction recycles.
+// capturedRing is an epoch ring detached from its engine: the slot
+// histograms are immutable, so capture is a pointer copy.
+type capturedRing struct {
+	tick  uint64
+	slots []*core.Histogram
+}
+
+// captureState copies the maintainer's state plus the given pending log.
+// The copies make the capture safe to encode after the owner's lock is
+// released: the view's backing arrays are double-buffered compaction
+// scratch that the next compaction recycles.
 func captureState(m *Maintainer, log []sparse.Entry) maintainerState {
 	st := maintainerState{
 		updates:     m.updates,
 		compactions: m.compactions,
-		hasView:     !m.view.empty(),
 		log:         append([]sparse.Entry(nil), log...),
-		ring:        captureRing(m),
 	}
-	if st.hasView {
-		st.ends = m.view.part.Boundaries()
+	if !m.view.empty() {
+		st.part = append(interval.Partition(nil), m.view.part...)
 		st.values = append([]float64(nil), m.view.values...)
 		st.viewErr = m.view.err
+	}
+	if m.win != nil {
+		st.ring = &capturedRing{tick: m.win.tick, slots: append([]*core.Histogram(nil), m.win.slots...)}
 	}
 	return st
 }
 
-func (st *maintainerState) encode(w *codec.Writer) {
-	w.Int(st.updates)
-	w.Int(st.compactions)
-	if st.hasView {
-		w.Byte(1)
-		w.DeltaInts(st.ends)
-		w.PackedFloat64s(st.values)
-		w.Float64(st.viewErr)
+// appendState appends one state, its epoch ring included when it has one.
+func appendState(dst []byte, st *maintainerState) []byte {
+	dst = codec.AppendUvarint(dst, uint64(st.updates))
+	dst = codec.AppendUvarint(dst, uint64(st.compactions))
+	if st.part == nil {
+		dst = append(dst, 0)
 	} else {
-		w.Byte(0)
+		dst = append(dst, 1)
+		dst = codec.AppendDeltaInts(dst, st.part.Boundaries())
+		dst = codec.AppendPackedFloat64s(dst, st.values)
+		dst = codec.AppendFloat64(dst, st.viewErr)
 	}
-	w.Int(len(st.log))
-	idxs := make([]int, len(st.log))
-	vals := make([]float64, len(st.log))
+	dst = codec.AppendUvarint(dst, uint64(len(st.log)))
+	weights := make([]float64, len(st.log))
 	for i, e := range st.log {
-		idxs[i] = e.Index
-		vals[i] = e.Value
+		dst = codec.AppendUvarint(dst, uint64(e.Index))
+		weights[i] = e.Value
 	}
-	for _, idx := range idxs {
-		w.Int(idx)
+	dst = codec.AppendPackedFloat64s(dst, weights)
+	if r := st.ring; r != nil {
+		dst = codec.AppendUvarint(dst, r.tick)
+		dst = codec.AppendUvarint(dst, uint64(len(r.slots)))
+		for _, h := range r.slots {
+			pieces := h.Pieces()
+			ends := make([]int, len(pieces))
+			values := make([]float64, len(pieces))
+			for i, pc := range pieces {
+				ends[i], values[i] = pc.Hi, pc.Value
+			}
+			dst = codec.AppendDeltaInts(dst, ends)
+			dst = codec.AppendPackedFloat64s(dst, values)
+		}
 	}
-	w.PackedFloat64s(vals)
+	return dst
 }
 
-func decodeState(r *codec.Reader, n int) (maintainerState, error) {
-	var st maintainerState
-	var err error
-	if st.updates, err = r.Int(); err != nil {
-		return st, err
-	}
-	if st.compactions, err = r.Int(); err != nil {
-		return st, err
-	}
-	flag, err := r.ReadByte()
+// decodePieces reads a piece list and validates it as a partition of [1, n]
+// with one value per piece.
+func decodePieces(src codec.Source, n int) (interval.Partition, []float64, error) {
+	ends, err := src.DeltaInts()
 	if err != nil {
-		return st, err
+		return nil, nil, err
+	}
+	values, err := src.PackedFloat64s(nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(values) != len(ends) {
+		return nil, nil, fmt.Errorf("stream: %d values for %d pieces", len(values), len(ends))
+	}
+	part, err := interval.FromBoundaries(n, ends)
+	if err != nil {
+		return nil, nil, err
+	}
+	return part, values, nil
+}
+
+// decodeState reads and fully validates one state appendState wrote over a
+// domain of n; epochs > 0 reads the epoch ring of that window span. A
+// decoded state installs without further checks.
+func decodeState(src codec.Source, n, epochs int) (st maintainerState, err error) {
+	if st.updates, err = src.Int(); err != nil {
+		return
+	}
+	if st.compactions, err = src.Int(); err != nil {
+		return
+	}
+	flag, err := src.ReadByte()
+	if err != nil {
+		return
 	}
 	switch flag {
 	case 0:
 	case 1:
-		st.hasView = true
-		if st.ends, err = r.DeltaInts(); err != nil {
-			return st, err
+		if st.part, st.values, err = decodePieces(src, n); err != nil {
+			err = fmt.Errorf("stream: checkpoint summary: %w", err)
+			return
 		}
-		if st.values, err = r.PackedFloat64s(); err != nil {
-			return st, err
-		}
-		if len(st.values) != len(st.ends) {
-			return st, fmt.Errorf("stream: %d view values for %d pieces", len(st.values), len(st.ends))
-		}
-		if st.viewErr, err = r.FiniteFloat64(); err != nil {
-			return st, err
+		if st.viewErr, err = src.FiniteFloat64(); err != nil {
+			return
 		}
 		if st.viewErr < 0 {
-			return st, fmt.Errorf("stream: negative summary error %v", st.viewErr)
+			err = fmt.Errorf("stream: negative summary error %v", st.viewErr)
+			return
 		}
 	default:
-		return st, fmt.Errorf("stream: bad view flag %d", flag)
+		err = fmt.Errorf("stream: bad view flag %d", flag)
+		return
 	}
-	logLen, err := r.SliceLen()
+	logLen, err := src.SliceLen()
 	if err != nil {
-		return st, err
+		return
 	}
-	idxs := make([]int, logLen)
-	for i := range idxs {
-		if idxs[i], err = r.Int(); err != nil {
+	for range logLen {
+		idx, err := src.Int()
+		if err != nil {
 			return st, err
 		}
-		if idxs[i] < 1 || idxs[i] > n {
-			return st, fmt.Errorf("stream: buffered point %d out of [1, %d]", idxs[i], n)
+		if idx < 1 || idx > n {
+			return st, fmt.Errorf("stream: buffered point %d out of [1, %d]", idx, n)
 		}
+		st.log = append(st.log, sparse.Entry{Index: idx})
 	}
-	vals, err := r.PackedFloat64s()
+	weights, err := src.PackedFloat64s(nil)
 	if err != nil {
-		return st, err
+		return
 	}
-	if len(vals) != logLen {
-		return st, fmt.Errorf("stream: %d buffered values for %d points", len(vals), logLen)
+	if len(weights) != logLen {
+		err = fmt.Errorf("stream: %d buffered values for %d points", len(weights), logLen)
+		return
 	}
-	st.log = make([]sparse.Entry, logLen)
-	for i := range st.log {
-		st.log[i] = sparse.Entry{Index: idxs[i], Value: vals[i]}
+	for i, w := range weights {
+		st.log[i].Value = w
 	}
-	return st, nil
+	if epochs > 0 {
+		st.ring, err = decodeRing(src, n, epochs)
+	}
+	return
 }
 
-// apply installs the decoded state on a freshly constructed maintainer. The
-// prefix masses are recomputed with the same left-to-right accumulation
-// stageLog uses, so the restored view serves bit-identical range sums.
-func (st *maintainerState) apply(m *Maintainer) error {
+func decodeRing(src codec.Source, n, epochs int) (*capturedRing, error) {
+	tick, err := src.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	count, err := src.SliceLen()
+	if err != nil {
+		return nil, err
+	}
+	if count > epochs-1 {
+		return nil, fmt.Errorf("stream: %d sealed epochs in a %d-epoch window", count, epochs)
+	}
+	if uint64(count) > tick {
+		return nil, fmt.Errorf("stream: %d sealed epochs after %d ticks", count, tick)
+	}
+	ring := &capturedRing{tick: tick}
+	for i := range count {
+		part, values, err := decodePieces(src, n)
+		if err != nil {
+			return nil, fmt.Errorf("stream: epoch slot %d: %w", i, err)
+		}
+		ring.slots = append(ring.slots, core.NewHistogram(n, part, values))
+	}
+	return ring, nil
+}
+
+// install replaces m's checkpoint-observable state with st — counters,
+// view, epoch ring — and *log, its owner's pending log, with a copy of st's
+// log; a staged-but-uninstalled view and the memoized histogram are dropped.
+// The prefix masses are recomputed with the same left-to-right accumulation
+// stageLog uses, so the installed view serves bit-identical range sums.
+func (st *maintainerState) install(m *Maintainer, log *[]sparse.Entry) {
 	m.updates = st.updates
 	m.compactions = st.compactions
-	if !st.hasView {
-		return nil
+	m.view = summaryView{}
+	if st.part != nil {
+		pre := make([]float64, 0, len(st.part)+1)
+		pre = append(pre, 0)
+		for i, iv := range st.part {
+			pre = append(pre, pre[i]+float64(iv.Len())*st.values[i])
+		}
+		m.prefixBufs[m.curPrefix] = pre
+		m.view = summaryView{part: st.part, values: st.values, prefix: pre, err: st.viewErr}
 	}
-	part, err := interval.FromBoundaries(m.n, st.ends)
-	if err != nil {
-		return fmt.Errorf("stream: checkpoint summary: %w", err)
+	m.staged = summaryView{}
+	m.stagedOK = false
+	m.hist = nil
+	if st.ring != nil {
+		m.win.tick = st.ring.tick
+		m.win.slots = append(m.win.slots[:0], st.ring.slots...)
 	}
-	pre := make([]float64, 0, len(part)+1)
-	pre = append(pre, 0)
-	for i, iv := range part {
-		pre = append(pre, pre[i]+float64(iv.Len())*st.values[i])
+	*log = append((*log)[:0], st.log...)
+}
+
+// installStates swaps states[j] into shard shards[j] (shard j when shards is
+// nil), each under its shard lock after any in-flight compaction, so
+// concurrent readers see a shard's old or new state, never a torn one. It
+// is the one installer behind restore, NewShardedFromDelta and ApplyDelta.
+func (s *Sharded) installStates(shards []int, states []maintainerState) error {
+	for j := range states {
+		idx := j
+		if shards != nil {
+			idx = shards[j]
+		}
+		sh := s.shards[idx]
+		sh.mu.Lock()
+		for sh.compacting {
+			sh.cond.Wait()
+		}
+		err := sh.err
+		if err == nil {
+			states[j].install(sh.m, &sh.active)
+			sh.updates = states[j].updates
+			sh.version++
+		}
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
-	m.prefixBufs[m.curPrefix] = pre
-	m.view = summaryView{part: part, values: st.values, prefix: pre, err: st.viewErr}
 	return nil
+}
+
+// appendSnapshot appends one complete full-state envelope for the given
+// states: TagWindowed when the engine is windowed, else TagMaintainer for a
+// lone maintainer's state or TagSharded for shard states.
+func (c *engineConfig) appendSnapshot(dst []byte, states []maintainerState, maintainer bool) []byte {
+	start := len(dst)
+	tag := codec.TagSharded
+	switch {
+	case c.windowEpochs > 0:
+		tag = codec.TagWindowed
+	case maintainer:
+		tag = codec.TagMaintainer
+	}
+	dst = codec.AppendFrameHeader(dst, tag)
+	dst = c.append(dst)
+	if c.windowEpochs > 0 {
+		mode := windowedModeSharded
+		if maintainer {
+			mode = windowedModeMaintainer
+		}
+		dst = append(dst, mode)
+	}
+	if !maintainer {
+		dst = codec.AppendUvarint(dst, uint64(len(states)))
+	}
+	for i := range states {
+		dst = appendState(dst, &states[i])
+	}
+	return codec.FinishFrame(dst, start)
 }
 
 // Snapshot writes a checkpoint of the maintainer — summary view plus the
@@ -226,182 +423,119 @@ func (st *maintainerState) apply(m *Maintainer) error {
 // updates yields identical summaries, compaction cadence, and EstimateRange
 // answers.
 func (m *Maintainer) Snapshot(w io.Writer) error {
+	c := engineConfig{n: m.n, k: m.k, opts: m.opts, bufferCap: m.bufferCap}
 	if m.win != nil {
-		return m.snapshotWindowed(w)
+		c.windowEpochs = m.win.epochs
 	}
-	enc := codec.NewWriter(w, codec.TagMaintainer)
-	encodeConfig(enc, m.n, m.k, m.opts, m.bufferCap)
-	st := captureState(m, m.buffer)
-	st.encode(enc)
-	return enc.Close()
+	_, err := w.Write(c.appendSnapshot(nil, []maintainerState{captureState(m, m.buffer)}, true))
+	return err
 }
 
-// DecodeMaintainerPayload reads and validates a maintainer checkpoint
-// payload (everything between envelope header and footer) and rebuilds the
-// maintainer. Exported for the top-level tag dispatcher.
-func DecodeMaintainerPayload(dec *codec.Reader) (*Maintainer, error) {
-	n, k, opts, bufferCap, err := decodeConfig(dec)
+// DecodePayload reads and validates a streaming checkpoint payload
+// (everything between envelope header and footer) of the given type tag —
+// TagMaintainer, TagSharded or TagWindowed — and rebuilds the engine it
+// holds: a *Maintainer or a *Sharded. Exported for the tag dispatchers.
+func DecodePayload(dec *codec.Reader, tag byte) (any, error) {
+	if tag != codec.TagMaintainer && tag != codec.TagSharded && tag != codec.TagWindowed {
+		return nil, fmt.Errorf("stream: envelope holds type tag %d, not a streaming checkpoint", tag)
+	}
+	c, err := decodeConfig(dec, tag == codec.TagWindowed)
 	if err != nil {
 		return nil, err
 	}
-	st, err := decodeState(dec, n)
+	maintainer := tag == codec.TagMaintainer
+	if tag == codec.TagWindowed {
+		mode, err := dec.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		if mode != windowedModeMaintainer && mode != windowedModeSharded {
+			return nil, fmt.Errorf("stream: bad windowed checkpoint mode %d", mode)
+		}
+		maintainer = mode == windowedModeMaintainer
+	}
+	shards := 1
+	if !maintainer {
+		if shards, err = dec.SliceLen(); err != nil {
+			return nil, err
+		}
+		if shards < 1 {
+			return nil, fmt.Errorf("stream: checkpoint with %d shards", shards)
+		}
+	}
+	var states []maintainerState
+	for range shards {
+		st, err := decodeState(dec, c.n, c.windowEpochs)
+		if err != nil {
+			return nil, err
+		}
+		states = append(states, st)
+	}
+	if !maintainer {
+		s, err := c.newSharded(shards)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.installStates(nil, states); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	m, err := newMaintainer(c.n, c.k, c.bufferCap, c.opts)
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMaintainer(n, k, bufferCap, opts)
-	if err != nil {
-		return nil, err
+	if c.windowEpochs > 0 {
+		m.win = newWindowRing(c.windowEpochs)
 	}
-	if err := st.apply(m); err != nil {
-		return nil, err
-	}
-	capHint := m.bufferCap
-	if len(st.log) > capHint {
-		capHint = len(st.log)
-	}
-	m.buffer = make([]sparse.Entry, 0, capHint)
-	m.buffer = append(m.buffer, st.log...)
+	states[0].install(m, &m.buffer)
 	return m, nil
+}
+
+// restore reads one streaming checkpoint envelope and returns its engine.
+func restore(r io.Reader) (any, error) {
+	dec := codec.NewReader(r)
+	tag, err := dec.Header()
+	if err != nil {
+		return nil, err
+	}
+	v, err := DecodePayload(dec, tag)
+	if err != nil {
+		return nil, err
+	}
+	if err := dec.Close(); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // RestoreMaintainer reads a Maintainer checkpoint written by Snapshot and
 // rebuilds the maintainer, validating configuration, summary partition, and
 // buffered updates as strictly as the JSON decoders validate theirs.
 func RestoreMaintainer(r io.Reader) (*Maintainer, error) {
-	dec := codec.NewReader(r)
-	tag, err := dec.Header()
+	v, err := restore(r)
 	if err != nil {
 		return nil, err
 	}
-	var m *Maintainer
-	switch tag {
-	case codec.TagMaintainer:
-		m, err = DecodeMaintainerPayload(dec)
-	case codec.TagWindowed:
-		var v any
-		if v, err = DecodeWindowedPayload(dec); err == nil {
-			var ok bool
-			if m, ok = v.(*Maintainer); !ok {
-				return nil, fmt.Errorf("stream: windowed envelope holds a sharded engine, not a maintainer")
-			}
-		}
-	default:
-		return nil, fmt.Errorf("stream: envelope holds type tag %d, not a maintainer checkpoint", tag)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := dec.Close(); err != nil {
-		return nil, err
+	m, ok := v.(*Maintainer)
+	if !ok {
+		return nil, fmt.Errorf("stream: checkpoint holds a sharded engine, not a maintainer")
 	}
 	return m, nil
 }
 
-// Snapshot writes a checkpoint of the sharded engine as one binary envelope:
-// every shard's installed summary view plus its pending update log. It does
-// not force any compaction — in-flight background compactions are waited
-// out (work the uninterrupted run performs anyway), but buffered updates
-// stay buffered, so the restored engine's future compaction groupings (and
-// therefore its floating-point results) match the uninterrupted run's
-// exactly. Shards are captured one at a time under their locks, giving the
-// same per-shard consistency Summary offers under concurrent ingestion.
-func (s *Sharded) Snapshot(w io.Writer) error {
-	states := make([]maintainerState, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		for sh.compacting {
-			sh.cond.Wait()
-		}
-		if sh.err != nil {
-			err := sh.err
-			sh.mu.Unlock()
-			return err
-		}
-		states[i] = captureState(sh.m, sh.active)
-		states[i].updates = sh.updates
-		sh.mu.Unlock()
-	}
-	if s.windowEpochs > 0 {
-		_, err := writeWindowedSharded(w, s.n, s.k, s.opts, s.shards[0].bufCap, s.windowEpochs, states)
-		return err
-	}
-	enc := codec.NewWriter(w, codec.TagSharded)
-	encodeConfig(enc, s.n, s.k, s.opts, s.shards[0].bufCap)
-	enc.Int(len(states))
-	for i := range states {
-		states[i].encode(enc)
-	}
-	return enc.Close()
-}
-
-// DecodeShardedPayload reads and validates a sharded checkpoint payload and
-// rebuilds the engine. Exported for the top-level tag dispatcher.
-func DecodeShardedPayload(dec *codec.Reader) (*Sharded, error) {
-	n, k, opts, bufferCap, err := decodeConfig(dec)
-	if err != nil {
-		return nil, err
-	}
-	shardCount, err := dec.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	if shardCount < 1 {
-		return nil, fmt.Errorf("stream: checkpoint with %d shards", shardCount)
-	}
-	states := make([]maintainerState, shardCount)
-	for i := range states {
-		if states[i], err = decodeState(dec, n); err != nil {
-			return nil, err
-		}
-	}
-	s, err := NewSharded(n, k, shardCount, bufferCap, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, sh := range s.shards {
-		st := &states[i]
-		if err := st.apply(sh.m); err != nil {
-			return nil, fmt.Errorf("stream: shard %d: %w", i, err)
-		}
-		sh.updates = st.updates
-		if len(st.log) > cap(sh.active) {
-			sh.active = make([]sparse.Entry, 0, len(st.log))
-		}
-		sh.active = append(sh.active[:0], st.log...)
-	}
-	return s, nil
-}
-
-// RestoreSharded reads a Sharded checkpoint written by Snapshot and rebuilds
-// the engine with the same shard count (point-to-shard routing is a pure
-// function of the shard count, so restored shards continue receiving exactly
-// the points they held before).
+// RestoreSharded reads a Sharded checkpoint written by Snapshot or
+// Checkpoint.WriteTo and rebuilds the engine with the same shard count
+// (point-to-shard routing is a pure function of the shard count, so
+// restored shards continue receiving exactly the points they held before).
 func RestoreSharded(r io.Reader) (*Sharded, error) {
-	dec := codec.NewReader(r)
-	tag, err := dec.Header()
+	v, err := restore(r)
 	if err != nil {
 		return nil, err
 	}
-	var s *Sharded
-	switch tag {
-	case codec.TagSharded:
-		s, err = DecodeShardedPayload(dec)
-	case codec.TagWindowed:
-		var v any
-		if v, err = DecodeWindowedPayload(dec); err == nil {
-			var ok bool
-			if s, ok = v.(*Sharded); !ok {
-				return nil, fmt.Errorf("stream: windowed envelope holds a maintainer, not a sharded engine")
-			}
-		}
-	default:
-		return nil, fmt.Errorf("stream: envelope holds type tag %d, not a sharded checkpoint", tag)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := dec.Close(); err != nil {
-		return nil, err
+	s, ok := v.(*Sharded)
+	if !ok {
+		return nil, fmt.Errorf("stream: checkpoint holds a maintainer, not a sharded engine")
 	}
 	return s, nil
 }

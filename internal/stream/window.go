@@ -101,7 +101,7 @@ func NewWindowedMaintainer(n, k, epochs, bufferCap int, opts core.Options) (*Mai
 }
 
 func newWindowRing(epochs int) *windowRing {
-	return &windowRing{epochs: epochs, slots: make([]*core.Histogram, 0, epochs-1)}
+	return &windowRing{epochs: epochs}
 }
 
 // Windowed reports whether the maintainer retains a sliding epoch window.

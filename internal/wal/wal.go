@@ -997,7 +997,7 @@ func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, error) 
 	case 0:
 		rec.Weights = nil
 	case 1:
-		ws, err := dec.PackedFloat64s()
+		ws, err := dec.PackedFloat64s(nil)
 		if err != nil {
 			return Record{}, err
 		}

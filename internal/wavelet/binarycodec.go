@@ -45,7 +45,7 @@ func DecodePayload(r *codec.Reader) (*Synopsis, error) {
 	if indices[0] < 0 || indices[len(indices)-1] >= pn {
 		return nil, fmt.Errorf("wavelet: coefficient indices outside [0, %d)", pn)
 	}
-	values, err := r.PackedFloat64s()
+	values, err := r.PackedFloat64s(nil)
 	if err != nil {
 		return nil, err
 	}
