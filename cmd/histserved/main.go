@@ -22,13 +22,13 @@
 // self-heals through an automatic full resync. Per-replica lag, sync, and
 // byte counters appear on /metrics (histapprox_replica_* families).
 //
-// With -wal set, every -sharded engine is write-ahead logged under
-// <dir>/<name>: acknowledged ingests survive a crash (per the -sync-every
-// group-commit policy), periodic checkpoints bound the log, and a restart
-// with the same flags recovers each engine — snapshot restored, log tail
-// replayed — before the listener accepts traffic (GET /readyz flips to 200
-// when recovery is done). SIGINT/SIGTERM drains in-flight requests, flushes
-// the logs, cuts a final checkpoint, and exits 0.
+// With -wal set, every -sharded and -windowed engine is write-ahead logged
+// under <dir>/<name>: acknowledged ingests (and epoch seals) survive a crash
+// (per the -sync-every group-commit policy), periodic checkpoints bound the
+// log, and a restart with the same flags recovers each engine — snapshot
+// restored, log tail replayed — before the listener accepts traffic (GET
+// /readyz flips to 200 when recovery is done). SIGINT/SIGTERM drains
+// in-flight requests, flushes the logs, cuts a final checkpoint, and exits 0.
 //
 // Endpoints (see the package documentation of repro's serving layer):
 //
@@ -91,6 +91,98 @@ func loopbackHostPort(a net.Addr) string {
 	return net.JoinHostPort(host, port)
 }
 
+// engineSpec is one -sharded or -windowed engine: epochs is 0 for
+// -sharded and at least 1 for -windowed.
+type engineSpec struct {
+	name                         string
+	n, k, epochs, shards, bufcap int
+}
+
+// parseEngine parses a -sharded value (name=n,k[,shards[,bufcap]]) or a
+// -windowed value (name=n,k,epochs[,shards[,bufcap]]).
+func parseEngine(flagName, raw string) (engineSpec, error) {
+	name, value, err := nameValue(raw, flagName)
+	if err != nil {
+		return engineSpec{}, err
+	}
+	windowed := flagName == "windowed"
+	form, required := "n,k[,shards[,bufcap]]", 2
+	if windowed {
+		form, required = "n,k,epochs[,shards[,bufcap]]", 3
+	}
+	parts := strings.Split(value, ",")
+	if len(parts) < required || len(parts) > required+2 {
+		return engineSpec{}, fmt.Errorf("want name=%s", form)
+	}
+	var nums [5]int // n, k, epochs, shards, bufcap
+	for i, p := range parts {
+		if !windowed && i >= 2 {
+			i++ // a -sharded value has no epochs field
+		}
+		if nums[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
+			return engineSpec{}, err
+		}
+	}
+	if windowed && nums[2] < 1 {
+		return engineSpec{}, fmt.Errorf("window of %d epochs (want ≥ 1)", nums[2])
+	}
+	return engineSpec{name, nums[0], nums[1], nums[2], nums[3], nums[4]}, nil
+}
+
+// hostEngine opens the engine sp describes and hosts it on srv: in memory,
+// or write-ahead logged under <walBase>/<name> when walBase is set, with
+// d's sync and checkpoint policies. It returns the boot log's line, the
+// engine's Advance when it is windowed, and the durable engine to close at
+// shutdown (nil in memory).
+func hostEngine(srv *histapprox.SynopsisServer, sp engineSpec, walBase string, d histapprox.DurabilityOptions) (desc string, advance func() error, durable *histapprox.DurableShardedHistogram, err error) {
+	windowed := sp.epochs > 0
+	kind := "sharded"
+	if windowed {
+		kind = fmt.Sprintf("windowed epochs=%d", sp.epochs)
+	}
+	var engine interface{ Advance() error }
+	if walBase == "" {
+		var s *histapprox.ShardedHistogram
+		if windowed {
+			s, err = histapprox.NewWindowedShardedMaintainer(sp.n, sp.k, sp.epochs, sp.shards, sp.bufcap, nil)
+		} else {
+			s, err = histapprox.NewShardedMaintainer(sp.n, sp.k, sp.shards, sp.bufcap, nil)
+		}
+		if err != nil {
+			return "", nil, nil, err
+		}
+		engine, desc = s, fmt.Sprintf("%s (%s n=%d k=%d shards=%d)", sp.name, kind, sp.n, sp.k, s.Shards())
+	} else {
+		d.Dir, d.WindowEpochs = filepath.Join(walBase, sp.name), sp.epochs
+		if durable, err = histapprox.OpenDurableShardedMaintainer(sp.n, sp.k, sp.shards, sp.bufcap, nil, d); err != nil {
+			return "", nil, nil, fmt.Errorf("opening durable engine %q in %s: %w", sp.name, d.Dir, err)
+		}
+		engine, desc = durable, fmt.Sprintf("%s (durable %s, wal=%s", sp.name, kind, d.Dir)
+		if n := durable.Replayed(); n > 0 {
+			desc += fmt.Sprintf(", replayed %d WAL records", n)
+		}
+		desc += ")"
+		// Recovery keeps the checkpointed shape, whatever the flag says, and
+		// a plain engine would fail every epoch seal.
+		if windowed && !durable.Windowed() {
+			err = fmt.Errorf("-windowed %s: the WAL in %s holds a non-windowed engine", sp.name, d.Dir)
+		}
+	}
+	if err == nil {
+		err = srv.Host(sp.name, engine)
+	}
+	if err != nil {
+		if durable != nil {
+			durable.Close()
+		}
+		return "", nil, nil, err
+	}
+	if windowed {
+		advance = engine.Advance
+	}
+	return desc, advance, durable, nil
+}
+
 // onListen, when non-nil, receives the bound listener address before the
 // server starts accepting — the e2e test's handle on a :0 port.
 var onListen func(net.Addr)
@@ -109,7 +201,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 1, "per-request batch fan-out (≤ 0 = all cores; 1 is usually best under concurrent load)")
 	maxBatch := fs.Int("max-batch", 0, "max queries/updates per request body (0 = default)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
-	walDir := fs.String("wal", "", "write-ahead log base directory; each -sharded engine persists under <dir>/<name> (empty = in-memory only)")
+	walDir := fs.String("wal", "", "write-ahead log base directory; each -sharded and -windowed engine persists under <dir>/<name> (empty = in-memory only)")
 	syncEvery := fs.Int("sync-every", 0, "fsync the WAL at least every N appended records (1 = before every ingest returns; 0 = default)")
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint after N logged ingest calls (0 = default, negative = count-based checkpoints off)")
 	ckptInterval := fs.Duration("checkpoint-interval", 0, "also checkpoint on this wall-clock period (0 = off)")
@@ -118,19 +210,23 @@ func run(args []string) error {
 	replInterval := fs.Duration("replicate-interval", time.Second, "delta sync cadence for -replicate")
 	advanceInterval := fs.Duration("advance-interval", 0, "seal every -windowed engine's live epoch on this wall-clock period (0 = only external seals)")
 
-	var loads, shardeds, windoweds, replicas []string
+	var loads, replicas []string
 	fs.Func("load", "host a snapshot file as name=path (repeatable)", func(raw string) error {
 		loads = append(loads, raw)
 		return nil
 	})
-	fs.Func("sharded", "host a fresh sharded intake engine as name=n,k[,shards[,bufcap]] (repeatable)", func(raw string) error {
-		shardeds = append(shardeds, raw)
-		return nil
-	})
-	fs.Func("windowed", "host a fresh sliding-window sharded engine as name=n,k,epochs[,shards[,bufcap]]; query with ?window= / ?halflife= (repeatable)", func(raw string) error {
-		windoweds = append(windoweds, raw)
-		return nil
-	})
+	// Engine flags are parsed as they are read, so a bad value fails the
+	// boot before any engine opens or any WAL directory is touched.
+	var specs []engineSpec
+	engineFlag := func(name, usage string) {
+		fs.Func(name, usage, func(raw string) error {
+			sp, err := parseEngine(name, raw)
+			specs = append(specs, sp)
+			return err
+		})
+	}
+	engineFlag("sharded", "host a fresh sharded intake engine as name=n,k[,shards[,bufcap]] (repeatable)")
+	engineFlag("windowed", "host a fresh sliding-window sharded engine as name=n,k,epochs[,shards[,bufcap]] with epochs ≥ 1; query with ?window= / ?halflife= (repeatable)")
 	fs.Func("replica", "replica base URL for -replicate, e.g. http://host:8158 (repeatable)", func(raw string) error {
 		replicas = append(replicas, raw)
 		return nil
@@ -153,7 +249,7 @@ func run(args []string) error {
 	var hosted []string
 	// closers are the durable engines to flush on shutdown, closed in
 	// reverse hosting order.
-	var closers []interface{ Close() error }
+	var closers []*histapprox.DurableShardedHistogram
 
 	for _, raw := range loads {
 		name, path, err := nameValue(raw, "load")
@@ -171,111 +267,25 @@ func run(args []string) error {
 		}
 		hosted = append(hosted, name+" ("+path+")")
 	}
-	for _, raw := range shardeds {
-		name, spec, err := nameValue(raw, "sharded")
-		if err != nil {
-			return err
-		}
-		parts := strings.Split(spec, ",")
-		if len(parts) < 2 || len(parts) > 4 {
-			return fmt.Errorf("-sharded wants name=n,k[,shards[,bufcap]], got %q", raw)
-		}
-		nums := make([]int, 4)
-		for i, p := range parts {
-			if nums[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
-				return fmt.Errorf("-sharded %q: %w", raw, err)
-			}
-		}
-		if *walDir == "" {
-			engine, err := histapprox.NewShardedMaintainer(nums[0], nums[1], nums[2], nums[3], nil)
-			if err != nil {
-				return err
-			}
-			if err := srv.Host(name, engine); err != nil {
-				return err
-			}
-			hosted = append(hosted, fmt.Sprintf("%s (sharded n=%d k=%d shards=%d)", name, nums[0], nums[1], engine.Shards()))
-			continue
-		}
-		dir := filepath.Join(*walDir, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		engine, err := histapprox.OpenDurableShardedMaintainer(nums[0], nums[1], nums[2], nums[3], nil,
-			histapprox.DurabilityOptions{
-				Dir:                dir,
-				SyncEvery:          *syncEvery,
-				CheckpointEvery:    *ckptEvery,
-				CheckpointInterval: *ckptInterval,
-			})
-		if err != nil {
-			return fmt.Errorf("opening durable engine %q in %s: %w", name, dir, err)
-		}
-		closers = append(closers, engine)
-		if err := srv.Host(name, engine); err != nil {
-			return err
-		}
-		detail := ""
-		if n := engine.Replayed(); n > 0 {
-			detail = fmt.Sprintf(", replayed %d WAL records", n)
-		}
-		hosted = append(hosted, fmt.Sprintf("%s (durable sharded, wal=%s%s)", name, dir, detail))
+	durability := histapprox.DurabilityOptions{
+		SyncEvery:          *syncEvery,
+		CheckpointEvery:    *ckptEvery,
+		CheckpointInterval: *ckptInterval,
 	}
 	// advancers are the windowed engines the -advance-interval ticker seals.
 	var advancers []func() error
-	for _, raw := range windoweds {
-		name, spec, err := nameValue(raw, "windowed")
+	for _, sp := range specs {
+		desc, advance, durable, err := hostEngine(srv, sp, *walDir, durability)
 		if err != nil {
 			return err
 		}
-		parts := strings.Split(spec, ",")
-		if len(parts) < 3 || len(parts) > 5 {
-			return fmt.Errorf("-windowed wants name=n,k,epochs[,shards[,bufcap]], got %q", raw)
+		if durable != nil {
+			closers = append(closers, durable)
 		}
-		nums := make([]int, 5)
-		for i, p := range parts {
-			if nums[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
-				return fmt.Errorf("-windowed %q: %w", raw, err)
-			}
+		if advance != nil {
+			advancers = append(advancers, advance)
 		}
-		n, k, epochs, shards, bufcap := nums[0], nums[1], nums[2], nums[3], nums[4]
-		if *walDir == "" {
-			engine, err := histapprox.NewWindowedShardedMaintainer(n, k, epochs, shards, bufcap, nil)
-			if err != nil {
-				return err
-			}
-			if err := srv.Host(name, engine); err != nil {
-				return err
-			}
-			advancers = append(advancers, engine.Advance)
-			hosted = append(hosted, fmt.Sprintf("%s (windowed n=%d k=%d epochs=%d shards=%d)", name, n, k, epochs, engine.Shards()))
-			continue
-		}
-		dir := filepath.Join(*walDir, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		engine, err := histapprox.OpenDurableShardedMaintainer(n, k, shards, bufcap, nil,
-			histapprox.DurabilityOptions{
-				Dir:                dir,
-				SyncEvery:          *syncEvery,
-				CheckpointEvery:    *ckptEvery,
-				CheckpointInterval: *ckptInterval,
-				WindowEpochs:       epochs,
-			})
-		if err != nil {
-			return fmt.Errorf("opening durable windowed engine %q in %s: %w", name, dir, err)
-		}
-		closers = append(closers, engine)
-		if err := srv.Host(name, engine); err != nil {
-			return err
-		}
-		advancers = append(advancers, engine.Advance)
-		detail := ""
-		if n := engine.Replayed(); n > 0 {
-			detail = fmt.Sprintf(", replayed %d WAL records", n)
-		}
-		hosted = append(hosted, fmt.Sprintf("%s (durable windowed epochs=%d, wal=%s%s)", name, epochs, dir, detail))
+		hosted = append(hosted, desc)
 	}
 	if *advanceInterval > 0 && len(advancers) == 0 {
 		return fmt.Errorf("-advance-interval given without any -windowed engine")

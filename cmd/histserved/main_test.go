@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -239,5 +241,60 @@ func TestDaemonRestartRecovers(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// bootError runs the daemon and returns the error that stopped its boot. A
+// daemon that boots instead is shut down and fails the test.
+func bootError(t *testing.T, args []string) error {
+	t.Helper()
+	listening := make(chan net.Addr, 1)
+	onListen = func(a net.Addr) { listening <- a }
+	defer func() { onListen = nil }()
+	done := make(chan error, 1)
+	go func() { done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...)) }()
+	select {
+	case err := <-done:
+		return err
+	case <-listening:
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		t.Fatalf("%v: the daemon booted, want a boot error", args)
+		return nil
+	}
+}
+
+// TestWindowedFlagNeedsEpochs: a -windowed engine needs a window of at least
+// one epoch with or without -wal, and a bad value fails the boot before the
+// WAL directory is touched. A -windowed engine whose WAL holds a plain
+// engine is refused too, rather than failing every epoch seal.
+func TestWindowedFlagNeedsEpochs(t *testing.T) {
+	dir := t.TempDir()
+	engineDir := filepath.Join(dir, "rec")
+	for _, args := range [][]string{
+		{"-windowed", "rec=1000,6,0"},
+		{"-windowed", "rec=1000,6,0", "-wal", dir},
+		{"-windowed", "rec=1000,6,-2,2,32", "-wal", dir},
+	} {
+		if err := bootError(t, args); !strings.Contains(err.Error(), "epochs") {
+			t.Errorf("%v: %v, want an error about the window's epochs", args, err)
+		}
+		if _, err := os.Stat(engineDir); !os.IsNotExist(err) {
+			t.Fatalf("%v touched %s: %v", args, engineDir, err)
+		}
+	}
+
+	plain, err := histapprox.OpenDurableShardedMaintainer(1000, 6, 2, 32, nil, histapprox.DurabilityOptions{Dir: engineDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Close(); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-windowed", "rec=1000,6,4", "-wal", dir}
+	if err := bootError(t, args); !strings.Contains(err.Error(), "non-windowed") {
+		t.Errorf("%v over a plain engine's WAL: %v, want an error naming the non-windowed engine", args, err)
 	}
 }

@@ -113,8 +113,8 @@ func main() {
 		worstV, worstW, worstD)
 
 	// The same queries answered through the batched serving path — one
-	// call, bit-identical results (see examples/serving for the full
-	// build-once/query-millions workload).
+	// call, bit-identical results (see examples/server for batch throughput
+	// in process and over HTTP).
 	as := make([]int, len(queries))
 	bs := make([]int, len(queries))
 	for i, qr := range queries {

@@ -103,12 +103,9 @@ func NewWindowedShardedMaintainer(n, k, epochs, shards, bufferCap int, opts *Opt
 // log tail to a state bit-identical to an uninterrupted run over the
 // surviving updates — same floats, same compaction cadence. A torn or
 // corrupted log tail (the bytes an OS crash can leave behind) is detected by
-// checksum and truncated cleanly, never a panic.
+// checksum and truncated cleanly, never a panic. It is the only durable
+// engine: a single-lane durable engine is one with shards = 1.
 type DurableShardedHistogram = stream.DurableSharded
-
-// DurableStreamingHistogram is the single-threaded durable counterpart,
-// wrapping a StreamingHistogram with the same WAL + checkpoint machinery.
-type DurableStreamingHistogram = stream.DurableMaintainer
 
 // DurabilityOptions configures a durable engine: the WAL directory, the
 // group-commit fsync policy (SyncEvery/SyncInterval — SyncEvery=1 fsyncs
@@ -132,13 +129,6 @@ func OpenDurableShardedMaintainer(n, k, shards, bufferCap int, opts *Options, d 
 // an existing WAL directory, failing if d.Dir holds none.
 func RecoverDurableShardedMaintainer(d DurabilityOptions) (*DurableShardedHistogram, error) {
 	return stream.RecoverDurableSharded(d)
-}
-
-// OpenDurableStreamingHistogram opens (or creates) a durable single-threaded
-// maintainer persisted in d.Dir, following the OpenDurableShardedMaintainer
-// contract.
-func OpenDurableStreamingHistogram(n, k, bufferCap int, opts *Options, d DurabilityOptions) (*DurableStreamingHistogram, error) {
-	return stream.OpenDurableMaintainer(n, k, bufferCap, resolveOpts(opts), d)
 }
 
 // --- Quantile queries from a summary. ---

@@ -240,7 +240,8 @@ type deltaSource interface {
 // Host registers (or atomically replaces) the synopsis served under name.
 // Supported values: *core.Histogram, *core.Hierarchy, *quantile.CDF,
 // *wavelet.Synopsis, synopsis.Synopsis, *stream.Maintainer, *stream.Sharded,
-// *stream.DurableSharded, *stream.DurableMaintainer.
+// and *stream.DurableSharded (the one write-ahead-logged engine; a
+// single-lane durable engine is one with one shard).
 func (s *Server) Host(name string, v any) error {
 	if name == "" {
 		return fmt.Errorf("serve: empty synopsis name")
@@ -338,9 +339,8 @@ func adapt(v any) (served, error) {
 	case *stream.Sharded:
 		return shardServed{streamQueries{obj}, obj}, nil
 	case *stream.DurableSharded:
-		return durableShardServed{streamQueries{obj}, obj}, nil
-	case *stream.DurableMaintainer:
-		return durableMaintServed{streamQueries{obj}, obj}, nil
+		s := obj.Engine()
+		return durableShardServed{shardServed{streamQueries{s}, s}, obj}, nil
 	default:
 		if est, ok := v.(synopsis.Synopsis); ok {
 			return estServed{est: est, name: "estimator", enc: func(w io.Writer) error {
@@ -689,14 +689,16 @@ type durableStatser interface {
 	durableStats() stream.DurableStats
 }
 
-// durableShardServed serves a write-ahead-logged sharded engine. Ingest goes
+// durableShardServed serves a write-ahead-logged sharded engine. It is the
+// bare sharded adapter over the wrapped engine except for ingest, which goes
 // through the durable wrapper — logged before applied, so every acknowledged
-// POST /add survives a crash per the WAL's fsync policy. Queries go straight
-// to the wrapped engine (reads need no logging), and GET /snapshot captures
-// a checkpoint of the live state without touching the WAL: the bytes are for
-// replication elsewhere; local durability is the WAL's job.
+// POST /add survives a crash per the WAL's fsync policy — and the
+// WAL/checkpoint stats. Queries, snapshots and delta sources read the engine
+// directly: reads need no logging, and snapshot bytes are for replication
+// elsewhere; local durability is the WAL's job. Being a distinct type, it is
+// never a partial-delta PUT target (see applyDelta).
 type durableShardServed struct {
-	streamQueries
+	shardServed
 	d *stream.DurableSharded
 }
 
@@ -706,30 +708,4 @@ func (s durableShardServed) ingest(points []int, weights []float64) error {
 	return s.d.AddBatch(points, weights)
 }
 
-func (s durableShardServed) snapshot(w io.Writer) error { return s.d.WriteSnapshot(w) }
-
 func (s durableShardServed) durableStats() stream.DurableStats { return s.d.Stats() }
-
-func (s durableShardServed) deltaEngine() *stream.Sharded { return s.d.Engine() }
-
-func (s durableShardServed) windowedQueries() bool { return s.d.Windowed() }
-
-// durableMaintServed serves a write-ahead-logged maintainer. The durable
-// wrapper synchronizes ingest, queries, and snapshots internally, so unlike
-// the bare maintServed no adapter mutex is needed.
-type durableMaintServed struct {
-	streamQueries
-	d *stream.DurableMaintainer
-}
-
-func (durableMaintServed) kind() string { return "durable-maintainer" }
-
-func (s durableMaintServed) ingest(points []int, weights []float64) error {
-	return s.d.AddBatch(points, weights)
-}
-
-func (s durableMaintServed) snapshot(w io.Writer) error { return s.d.WriteSnapshot(w) }
-
-func (s durableMaintServed) durableStats() stream.DurableStats { return s.d.Stats() }
-
-func (s durableMaintServed) windowedQueries() bool { return s.d.Windowed() }

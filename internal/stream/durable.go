@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -14,20 +13,24 @@ import (
 	"repro/internal/wal"
 )
 
-// This file is the durability layer over the streaming engines: a
-// DurableSharded (or DurableMaintainer) is the underlying engine plus a
-// write-ahead log, so a crash loses at most the WAL's configured fsync
-// window instead of everything since the last full snapshot.
+// This file is the durability layer over the streaming engine: a
+// DurableSharded is a Sharded engine plus a write-ahead log, so a crash
+// loses at most the WAL's configured fsync window instead of everything
+// since the last full snapshot. It is the only write-ahead-logged engine; a
+// single-lane durable engine is a DurableSharded with one shard.
 //
 // The invariant the locking protects: every update is appended to the WAL
 // BEFORE it is applied to the engine, and a checkpoint captures the engine
-// only when no update is between those two steps. Appends hold the RWMutex
-// read-side (concurrent with each other — the WAL's group commit does the
-// coalescing); a checkpoint takes the write side for just long enough to
-// capture the engine (stream.Checkpoint, non-blocking) and rotate the log,
-// so the boundary sequence number exactly covers the captured state. The
+// only when no update is between those two steps. Ingest holds the RWMutex
+// read side (concurrent with each other — the WAL's group commit does the
+// coalescing); a checkpoint rotates the log first and then takes the write
+// side only for the in-memory capture (stream.Checkpoint, non-blocking), so
+// the boundary sequence number exactly covers the captured state. The
 // expensive half — encoding the snapshot and committing the manifest —
-// happens outside the lock while ingestion continues.
+// happens outside the lock while ingestion continues. A second mutex,
+// ckptMu, admits one checkpoint at a time, whatever triggered it: the count
+// trigger and the ticker skip their turn while one runs, and Checkpoint and
+// Close wait for it.
 //
 // Recovery restores the manifest's snapshot, NORMALIZES the restored
 // pending logs (below), replays the WAL tail through the ordinary ingest
@@ -60,9 +63,9 @@ type DurableOptions struct {
 	// OpenFile is the WAL's segment-file opener override (fault injection).
 	OpenFile wal.OpenFileFunc
 	// WindowEpochs, when ≥ 1, creates a windowed engine retaining that many
-	// epochs (see NewWindowedMaintainer/NewWindowedSharded); epoch boundaries
-	// are durably logged as empty WAL records by Advance. Only the create
-	// paths read it — recovery restores the span from the checkpoint.
+	// epochs (see NewWindowedSharded); epoch boundaries are durably logged
+	// as empty WAL records by Advance. Only the create paths read it —
+	// recovery restores the span from the checkpoint.
 	WindowEpochs int
 }
 
@@ -105,7 +108,7 @@ type DurableStats struct {
 type DurableSharded struct {
 	// mu orders appends against checkpoints and epoch seals: ingest holds it
 	// shared (the log-then-apply pair must not straddle a checkpoint capture),
-	// a checkpoint holds it exclusive only for capture + rotate, and Advance
+	// a checkpoint holds it exclusive only for the capture, and Advance
 	// holds it exclusive so the epoch marker's log position matches the ring
 	// rotation exactly (see Advance).
 	mu   sync.RWMutex
@@ -113,8 +116,11 @@ type DurableSharded struct {
 	log  *wal.Log
 	opts DurableOptions
 
+	// ckptMu serializes whole checkpoints: two rotate-capture-commit
+	// sequences must not interleave, or an older manifest could land after
+	// a newer one.
+	ckptMu    sync.Mutex
 	sinceCkpt atomic.Int64
-	ckptBusy  atomic.Bool
 	wg        sync.WaitGroup
 	stop      chan struct{}
 	closed    atomic.Bool
@@ -194,8 +200,8 @@ func RecoverDurableSharded(opts DurableOptions) (*DurableSharded, error) {
 	// crash/recover cycles then never re-replay an ever-growing tail, and
 	// the torn-tail truncation (if any) is superseded on disk.
 	if replayed > 0 {
-		if err := d.checkpoint(); err != nil {
-			d.log.Close()
+		if err := d.Checkpoint(); err != nil {
+			d.Close()
 			return nil, err
 		}
 	}
@@ -252,26 +258,10 @@ func (d *DurableSharded) Engine() *Sharded { return d.s }
 // Replayed returns how many WAL records recovery replayed at open.
 func (d *DurableSharded) Replayed() int { return d.replayed }
 
-// Add records one update durably: logged, group-committed per the WAL
-// policy, then applied to the engine.
+// Add records one update durably: a one-point AddBatch.
 func (d *DurableSharded) Add(i int, w float64) error {
-	if i < 1 || i > d.s.n {
-		return fmt.Errorf("stream: point %d out of [1, %d]", i, d.s.n)
-	}
-	pts := [1]int{i}
-	ws := [1]float64{w}
-	d.mu.RLock()
-	if _, err := d.log.Append(pts[:], ws[:]); err != nil {
-		d.mu.RUnlock()
-		return err
-	}
-	err := d.s.Add(i, w)
-	d.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	d.maybeCheckpoint()
-	return nil
+	pts, ws := [1]int{i}, [1]float64{w}
+	return d.AddBatch(pts[:], ws[:])
 }
 
 // AddBatch records one batch durably (nil weights = unit weights). The
@@ -344,12 +334,6 @@ func (d *DurableSharded) EstimateRangeOver(a, b, window int, halflife float64) (
 	return d.s.EstimateRangeOver(a, b, window, halflife)
 }
 
-// EstimateRangesOver delegates a batch of range queries to the engine (see
-// Sharded.EstimateRangesOver).
-func (d *DurableSharded) EstimateRangesOver(as, bs []int, window int, halflife float64, out []float64) error {
-	return d.s.EstimateRangesOver(as, bs, window, halflife, out)
-}
-
 // Windowed reports whether the wrapped engine retains a sliding epoch window.
 func (d *DurableSharded) Windowed() bool { return d.s.Windowed() }
 
@@ -363,22 +347,17 @@ func (d *DurableSharded) SummaryOver(window int, halflife float64) (*core.Histog
 }
 
 // maybeCheckpoint cuts a checkpoint in the background once CheckpointEvery
-// ingest calls accumulate; single-flight, so a slow snapshot never stacks.
+// ingest calls accumulate; it skips while one is running, so a slow
+// snapshot never stacks.
 func (d *DurableSharded) maybeCheckpoint() {
 	every := d.opts.checkpointEvery()
-	if every <= 0 {
-		return
-	}
-	if d.sinceCkpt.Add(1) < int64(every) {
-		return
-	}
-	if !d.ckptBusy.CompareAndSwap(false, true) {
+	if every <= 0 || d.sinceCkpt.Add(1) < int64(every) || !d.ckptMu.TryLock() {
 		return
 	}
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		defer d.ckptBusy.Store(false)
+		defer d.ckptMu.Unlock()
 		// A failed checkpoint poisons the WAL (appends start failing), so
 		// ingestion cannot silently outrun a log that no longer truncates.
 		_ = d.checkpoint()
@@ -394,9 +373,9 @@ func (d *DurableSharded) checkpointTicker() {
 		case <-d.stop:
 			return
 		case <-t.C:
-			if d.ckptBusy.CompareAndSwap(false, true) {
+			if d.ckptMu.TryLock() {
 				_ = d.checkpoint()
-				d.ckptBusy.Store(false)
+				d.ckptMu.Unlock()
 			}
 		}
 	}
@@ -442,26 +421,12 @@ func (d *DurableSharded) checkpoint() error {
 	return nil
 }
 
-// Checkpoint forces a checkpoint now (used by graceful shutdown and tests).
+// Checkpoint forces a checkpoint now (used by graceful shutdown and tests),
+// waiting for one already running to finish first.
 func (d *DurableSharded) Checkpoint() error {
-	for !d.ckptBusy.CompareAndSwap(false, true) {
-		time.Sleep(time.Millisecond)
-	}
-	err := d.checkpoint()
-	d.ckptBusy.Store(false)
-	return err
-}
-
-// WriteSnapshot streams a point-in-time checkpoint of the engine (the same
-// TagSharded envelope Sharded.Snapshot writes) without touching the WAL —
-// the serving layer's GET /snapshot path.
-func (d *DurableSharded) WriteSnapshot(w io.Writer) error {
-	cp, err := d.s.Checkpoint()
-	if err != nil {
-		return err
-	}
-	_, err = cp.WriteTo(w)
-	return err
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	return d.checkpoint()
 }
 
 // Sync forces every logged update to stable storage.
@@ -489,330 +454,6 @@ func (d *DurableSharded) Close() error {
 	}
 	close(d.stop)
 	d.wg.Wait()
-	err := d.Checkpoint()
-	if cerr := d.log.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// DurableMaintainer is the serial engine's durability wrapper: a Maintainer
-// whose ingest calls are write-ahead logged. Unlike the sharded engine it
-// serializes everything on one mutex (the Maintainer itself is
-// single-goroutine); the WAL's group commit still coalesces fsyncs across
-// blocked callers. Maintainer.Snapshot keeps buffered updates buffered, so
-// recovery is bit-identical by construction — no cadence normalization
-// needed.
-type DurableMaintainer struct {
-	// ckptMu serializes whole checkpoints (rotate + commit must not
-	// interleave across two checkpoints, or an older manifest could land
-	// after a newer one).
-	ckptMu sync.Mutex
-	mu     sync.Mutex
-	m      *Maintainer
-	log    *wal.Log
-	opts   DurableOptions
-
-	sinceCkpt   int
-	checkpoints int64
-	replayed    int
-	ckptDur     durRing
-	closed      bool
-}
-
-// NewDurableMaintainer builds a fresh maintainer with a fresh WAL in
-// opts.Dir.
-func NewDurableMaintainer(n, k, bufferCap int, copts core.Options, opts DurableOptions) (*DurableMaintainer, error) {
-	var m *Maintainer
-	var err error
-	if opts.WindowEpochs >= 1 {
-		m, err = NewWindowedMaintainer(n, k, opts.WindowEpochs, bufferCap, copts)
-	} else {
-		m, err = NewMaintainer(n, k, bufferCap, copts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	l, err := wal.Create(opts.Dir, opts.walOptions(), m.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &DurableMaintainer{m: m, log: l, opts: opts}, nil
-}
-
-// RecoverDurableMaintainer reopens the WAL in opts.Dir and replays its tail.
-func RecoverDurableMaintainer(opts DurableOptions) (*DurableMaintainer, error) {
-	l, info, err := wal.Open(opts.Dir, opts.walOptions())
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(info.SnapshotPath)
-	if err != nil {
-		l.Close()
-		return nil, err
-	}
-	m, err := RestoreMaintainer(bufio.NewReader(f))
-	f.Close()
-	if err != nil {
-		l.Close()
-		return nil, fmt.Errorf("stream: restoring durable snapshot: %w", err)
-	}
-	replayed := 0
-	err = l.Replay(info.SnapshotSeq, func(r wal.Record) error {
-		replayed++
-		// An empty record is an epoch-boundary marker (only Advance logs
-		// one: ingest calls early-return on empty batches before logging).
-		if len(r.Points) == 0 {
-			return m.Advance()
-		}
-		return m.AddBatch(r.Points, r.Weights)
-	})
-	if err != nil {
-		l.Close()
-		return nil, fmt.Errorf("stream: replaying WAL record %d: %w", replayed, err)
-	}
-	d := &DurableMaintainer{m: m, log: l, opts: opts, replayed: replayed}
-	if replayed > 0 {
-		if err := d.Checkpoint(); err != nil {
-			l.Close()
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-// OpenDurableMaintainer recovers opts.Dir if it holds a WAL, else creates.
-func OpenDurableMaintainer(n, k, bufferCap int, copts core.Options, opts DurableOptions) (*DurableMaintainer, error) {
-	if wal.Exists(opts.Dir) {
-		return RecoverDurableMaintainer(opts)
-	}
-	return NewDurableMaintainer(n, k, bufferCap, copts, opts)
-}
-
-// Engine returns the wrapped Maintainer for queries; route ingestion
-// through the DurableMaintainer.
-func (d *DurableMaintainer) Engine() *Maintainer { return d.m }
-
-// Replayed returns how many WAL records recovery replayed at open.
-func (d *DurableMaintainer) Replayed() int { return d.replayed }
-
-// EstimateRange answers a range query under the ingest lock (the wrapped
-// Maintainer is single-threaded; concurrent callers must come through here).
-func (d *DurableMaintainer) EstimateRange(a, b int) (float64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.EstimateRange(a, b)
-}
-
-// EstimateRangeOver answers a windowed/decayed range query under the ingest
-// lock.
-func (d *DurableMaintainer) EstimateRangeOver(a, b, window int, halflife float64) (float64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.EstimateRangeOver(a, b, window, halflife)
-}
-
-// EstimateRangesOver answers a batch of range queries under the ingest lock
-// (see Maintainer.EstimateRangesOver).
-func (d *DurableMaintainer) EstimateRangesOver(as, bs []int, window int, halflife float64, out []float64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.EstimateRangesOver(as, bs, window, halflife, out)
-}
-
-// Windowed reports whether the wrapped maintainer retains a sliding epoch
-// window.
-func (d *DurableMaintainer) Windowed() bool { return d.m.Windowed() }
-
-// SummaryOver merges the window's decayed per-epoch summaries under the
-// ingest lock.
-func (d *DurableMaintainer) SummaryOver(window int, halflife float64) (*core.Histogram, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.SummaryOver(window, halflife)
-}
-
-// Advance durably seals the current epoch on a windowed maintainer: the
-// boundary is logged as an empty WAL record before the ring rotates, so
-// recovery replays it in sequence and resumes the ring bit-identically.
-func (d *DurableMaintainer) Advance() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return fmt.Errorf("stream: durable maintainer is closed")
-	}
-	if !d.m.Windowed() {
-		d.mu.Unlock()
-		return fmt.Errorf("stream: Advance on a non-windowed engine")
-	}
-	if _, err := d.log.Append(nil, nil); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	err := d.m.Advance()
-	d.sinceCkpt++
-	due := d.checkpointDueLocked()
-	d.mu.Unlock()
-	if err != nil {
-		// The marker is durably logged but the engine never sealed; replay
-		// would apply one extra seal. Poison the log so the divergent
-		// history cannot grow (same policy as DurableSharded.Advance).
-		d.log.Fail(fmt.Errorf("stream: epoch seal failed after its marker was logged: %w", err))
-		return err
-	}
-	if due {
-		return d.Checkpoint()
-	}
-	return nil
-}
-
-// Add records one update durably.
-func (d *DurableMaintainer) Add(i int, w float64) error {
-	if i < 1 || i > d.m.n {
-		return fmt.Errorf("stream: point %d out of [1, %d]", i, d.m.n)
-	}
-	pts := [1]int{i}
-	ws := [1]float64{w}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return fmt.Errorf("stream: durable maintainer is closed")
-	}
-	if _, err := d.log.Append(pts[:], ws[:]); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	err := d.m.Add(i, w)
-	d.sinceCkpt++
-	due := d.checkpointDueLocked()
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if due {
-		return d.Checkpoint()
-	}
-	return nil
-}
-
-// AddBatch records one batch durably (nil weights = unit weights).
-func (d *DurableMaintainer) AddBatch(points []int, weights []float64) error {
-	if weights != nil && len(weights) != len(points) {
-		return fmt.Errorf("stream: %d weights for %d points", len(weights), len(points))
-	}
-	for _, p := range points {
-		if p < 1 || p > d.m.n {
-			return fmt.Errorf("stream: point %d out of [1, %d]", p, d.m.n)
-		}
-	}
-	if len(points) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return fmt.Errorf("stream: durable maintainer is closed")
-	}
-	if _, err := d.log.Append(points, weights); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	err := d.m.AddBatch(points, weights)
-	d.sinceCkpt++
-	due := d.checkpointDueLocked()
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if due {
-		return d.Checkpoint()
-	}
-	return nil
-}
-
-func (d *DurableMaintainer) checkpointDueLocked() bool {
-	every := d.opts.checkpointEvery()
-	return every > 0 && d.sinceCkpt >= every
-}
-
-// Checkpoint snapshots the maintainer and truncates the WAL. The segment
-// rotation (and its fsync) happens before the ingest lock is taken, the
-// snapshot is encoded to memory under the lock (O(k + buffered)), and the
-// durable commit runs outside it — concurrent Adds proceed during both
-// halves of the disk work.
-func (d *DurableMaintainer) Checkpoint() error {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	start := time.Now()
-	if _, err := d.log.Rotate(); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	d.mu.Lock()
-	if err := d.m.Snapshot(&buf); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	boundary := d.log.LastSeq()
-	d.sinceCkpt = 0
-	d.mu.Unlock()
-	// Fsync through the boundary before the manifest names it (the records
-	// appended since the cut are the only unsynced ones).
-	if err := d.log.Sync(); err != nil {
-		return err
-	}
-	if err := d.log.Commit(boundary, func(w io.Writer) error {
-		_, werr := w.Write(buf.Bytes())
-		return werr
-	}); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.checkpoints++
-	d.ckptDur.add(time.Since(start))
-	d.mu.Unlock()
-	return nil
-}
-
-// WriteSnapshot streams the maintainer's checkpoint without touching the
-// WAL.
-func (d *DurableMaintainer) WriteSnapshot(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.Snapshot(w)
-}
-
-// Sync forces every logged update to stable storage.
-func (d *DurableMaintainer) Sync() error { return d.log.Sync() }
-
-// Stats snapshots the maintainer and WAL counters.
-func (d *DurableMaintainer) Stats() DurableStats {
-	d.mu.Lock()
-	st := DurableStats{
-		WAL:         d.log.Stats(),
-		Checkpoints: d.checkpoints,
-		Replayed:    d.replayed,
-		Ingest: IngestStats{
-			Shards:      1,
-			Updates:     d.m.updates,
-			Compactions: d.m.compactions,
-		},
-	}
-	st.Ingest.CompactionDurations = d.m.compactDur.snapshot(nil)
-	st.CheckpointDurations = d.ckptDur.snapshot(nil)
-	d.mu.Unlock()
-	return st
-}
-
-// Close cuts a final checkpoint and closes the WAL.
-func (d *DurableMaintainer) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	d.closed = true
-	d.mu.Unlock()
 	err := d.Checkpoint()
 	if cerr := d.log.Close(); err == nil {
 		err = cerr

@@ -2,10 +2,14 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/wal"
@@ -328,13 +332,14 @@ func TestDurableShardedRejectsInvalidBeforeLogging(t *testing.T) {
 	}
 }
 
-// TestDurableMaintainerRecoveryBitIdentical: the serial engine's durability
-// wrapper recovers bit-identically and resumes on the original cadence
-// (Maintainer snapshots keep the pending buffer, so no normalization is
-// involved — this pins the simpler path).
+// TestDurableMaintainerRecoveryBitIdentical: the single-lane durable
+// engine, a one-shard DurableSharded, recovers from crashes at several
+// record boundaries bit-identically to a one-shard Sharded fed the same
+// prefix, and resumes on the original cadence. requireBitIdentical quiesces
+// both engines first: a one-shard Sharded compacts in the background.
 func TestDurableMaintainerRecoveryBitIdentical(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDurableMaintainer(crashN, crashK, crashCap, core.DefaultOptions(), DurableOptions{
+	d, err := NewDurableSharded(crashN, crashK, 1, crashCap, core.DefaultOptions(), DurableOptions{
 		Dir: dir, SyncEvery: 1, CheckpointEvery: -1,
 	})
 	if err != nil {
@@ -367,46 +372,139 @@ func TestDurableMaintainerRecoveryBitIdentical(t *testing.T) {
 		if err := os.Truncate(wal.SegmentPath(cutDir, 0), cut); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := RecoverDurableMaintainer(DurableOptions{Dir: cutDir, CheckpointEvery: -1})
+		rec, err := RecoverDurableSharded(DurableOptions{Dir: cutDir, CheckpointEvery: -1})
 		if err != nil {
 			t.Fatalf("recover at %d records: %v", j, err)
 		}
-		ref, err := NewMaintainer(crashN, crashK, crashCap, core.DefaultOptions())
+		ref, err := NewSharded(crashN, crashK, 1, crashCap, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < calls; i++ {
+		for i := 0; i < j; i++ {
 			pts, ws := crashCall(i)
-			if i >= j {
-				if err := ref.AddBatch(pts, ws); err != nil {
-					t.Fatal(err)
-				}
-				if err := rec.AddBatch(pts, ws); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
 			if err := ref.AddBatch(pts, ws); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got, want := rec.Engine(), ref
-		if got.Updates() != want.Updates() || got.Compactions() != want.Compactions() {
-			t.Fatalf("j=%d: counters (%d,%d) vs (%d,%d)", j,
-				got.Updates(), got.Compactions(), want.Updates(), want.Compactions())
-		}
-		for a := 1; a <= crashN; a += 119 {
-			g, _ := got.EstimateRange(a, a+50)
-			w, _ := want.EstimateRange(a, a+50)
-			if a+50 > crashN {
-				g, _ = got.EstimateRange(a, crashN)
-				w, _ = want.EstimateRange(a, crashN)
+		requireBitIdentical(t, fmt.Sprintf("recovered at %d records", j), rec.Engine(), ref)
+		for i := j; i < calls; i++ {
+			pts, ws := crashCall(i)
+			if err := ref.AddBatch(pts, ws); err != nil {
+				t.Fatal(err)
 			}
-			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("j=%d: EstimateRange(%d) %v vs %v", j, a, g, w)
+			if err := rec.AddBatch(pts, ws); err != nil {
+				t.Fatal(err)
 			}
 		}
-		rec.Close()
+		requireBitIdentical(t, fmt.Sprintf("resumed from %d records", j), rec.Engine(), ref)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDurableShardedWALCheckpointInterval: with count-triggered checkpoints
+// off, the CheckpointInterval ticker alone cuts checkpoints and rotates the
+// log, and Close still commits cleanly after it.
+func TestDurableShardedWALCheckpointInterval(t *testing.T) {
+	d, err := NewDurableSharded(crashN, crashK, crashP, crashCap, core.DefaultOptions(), DurableOptions{
+		Dir: t.TempDir(), CheckpointEvery: -1, CheckpointInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		pts, ws := crashCall(i)
+		if err := d.AddBatch(pts, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		st := d.Stats()
+		if st.Checkpoints >= 2 && st.WAL.Rotations >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s: %d checkpoints, %d rotations, want ≥ 2 each", st.Checkpoints, st.WAL.Rotations)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableShardedRecoveryRefusesMaintainerWAL: a WAL directory whose
+// checkpoint holds a Maintainer, plain or windowed (what a serial engine's
+// durable wrapper wrote), is refused with an error naming the maintainer
+// checkpoint. Open must not fall back to creating a fresh engine over it:
+// every file keeps its name and size.
+func TestDurableShardedRecoveryRefusesMaintainerWAL(t *testing.T) {
+	plain, err := NewMaintainer(crashN, crashK, crashCap, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowed, err := NewWindowedMaintainer(crashN, crashK, 3, crashCap, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := func(t *testing.T, dir string) map[string]int64 {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]int64, len(ents))
+		for _, e := range ents {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = fi.Size()
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Maintainer
+	}{{"plain", plain}, {"windowed", windowed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := wal.Create(dir, wal.Options{SyncEvery: 1}, tc.m.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, ws := crashCall(1)
+			if _, err := l.Append(pts, ws); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := sizes(t, dir)
+			opts := DurableOptions{Dir: dir, SyncEvery: 1, CheckpointEvery: -1}
+			for _, open := range []struct {
+				name string
+				fn   func() (*DurableSharded, error)
+			}{
+				{"RecoverDurableSharded", func() (*DurableSharded, error) { return RecoverDurableSharded(opts) }},
+				{"OpenDurableSharded", func() (*DurableSharded, error) {
+					return OpenDurableSharded(crashN, crashK, crashP, crashCap, core.DefaultOptions(), opts)
+				}},
+			} {
+				d, err := open.fn()
+				if err == nil {
+					d.Close()
+					t.Fatalf("%s accepted a maintainer checkpoint", open.name)
+				}
+				if !strings.Contains(err.Error(), "checkpoint holds a maintainer") {
+					t.Fatalf("%s: %v, want an error naming the maintainer checkpoint", open.name, err)
+				}
+				if got := sizes(t, dir); !maps.Equal(got, before) {
+					t.Fatalf("%s changed the directory: %v, was %v", open.name, got, before)
+				}
+			}
+		})
 	}
 }
 

@@ -667,34 +667,45 @@ func TestWindowedWALRecoveryMidWindow(t *testing.T) {
 		bitsEqual(t, "resumed recovered EstimateRangeOver", got, want)
 	})
 
+	// The single-lane durable engine: a one-shard DurableSharded recovers
+	// to the state of a one-shard windowed Sharded fed the same schedule.
+	// Both are quiesced before comparing, as above.
 	t.Run("maintainer", func(t *testing.T) {
 		dir := t.TempDir()
-		d, err := NewDurableMaintainer(windowN, windowK, windowCap, core.DefaultOptions(), DurableOptions{
+		d, err := NewDurableSharded(windowN, windowK, 1, windowCap, core.DefaultOptions(), DurableOptions{
 			Dir: dir, SyncEvery: 1, CheckpointEvery: -1, WindowEpochs: W,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer d.Close()
 		feedEpochs(t, d.Add, d.Advance, epochs, tail, points, weights)
 		if err := d.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := RecoverDurableMaintainer(DurableOptions{Dir: copyDir(t, dir), SyncEvery: 1, CheckpointEvery: -1})
+		rec, err := RecoverDurableSharded(DurableOptions{Dir: copyDir(t, dir), SyncEvery: 1, CheckpointEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rec.Close()
-		defer d.Close()
-		if !rec.Windowed() || rec.Engine().Tick() != uint64(epochs) {
-			t.Fatalf("recovered windowed=%v tick=%d, want true/%d", rec.Windowed(), rec.Engine().Tick(), epochs)
+		if !rec.Windowed() || rec.Engine().Shards() != 1 || rec.Engine().Tick() != uint64(epochs) {
+			t.Fatalf("recovered windowed=%v shards=%d tick=%d, want true/1/%d",
+				rec.Windowed(), rec.Engine().Shards(), rec.Engine().Tick(), epochs)
 		}
+		ref, err := NewWindowedSharded(windowN, windowK, W, 1, windowCap, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedEpochs(t, ref.Add, ref.Advance, epochs, tail, points, weights)
+		waitQuiesce(ref)
+		waitQuiesce(rec.Engine())
 		for w := 0; w <= W; w++ {
-			want, err1 := d.EstimateRangeOver(1, windowN, w, 1.0)
+			want, err1 := ref.EstimateRangeOver(1, windowN, w, 1.0)
 			got, err2 := rec.EstimateRangeOver(1, windowN, w, 1.0)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
-			bitsEqual(t, "recovered maintainer EstimateRangeOver", got, want)
+			bitsEqual(t, "recovered single-lane EstimateRangeOver", got, want)
 		}
 	})
 }
