@@ -10,8 +10,9 @@ import (
 )
 
 // SummaryScratch owns the reusable state of repeated summary recompactions:
-// the merge-round scratch of one mergeState plus a double-buffered output
-// area. A streaming maintainer recompacts (previous summary + buffered
+// the merge-round scratch of one mergeState (its live intervals as 24-byte
+// sparse.Node records, double-buffered across rounds) plus a double-buffered
+// output area. A streaming maintainer recompacts (previous summary + buffered
 // updates) back to O(k) pieces thousands of times over its life; routing
 // every one of those runs through a single SummaryScratch makes the
 // steady-state compaction path allocation-free (asserted by
@@ -52,7 +53,8 @@ type SummaryResult struct {
 // scratch's reusable buffers: same inputs, bit-identical outputs
 // (TestSummaryScratchMatchesConstructFromSummary), no steady-state heap
 // allocation once the buffers have grown to the working-set size. The
-// partition and stats slices are not retained or modified.
+// partition and stats slices are not retained or modified; every stat's
+// Len must be its interval's length.
 func (s *SummaryScratch) Construct(n int, p interval.Partition, stats []sparse.Stat, k int, opts Options) (SummaryResult, error) {
 	if err := opts.validate(); err != nil {
 		return SummaryResult{}, err
@@ -70,10 +72,14 @@ func (s *SummaryScratch) Construct(n int, p interval.Partition, stats []sparse.S
 		s.m.initPasses()
 	}
 	s.m.workers = parallel.Resolve(opts.Workers)
-	s.m.ivs = grow(s.m.ivs, len(p))
-	copy(s.m.ivs, p)
-	s.m.stats = grow(s.m.stats, len(stats))
-	copy(s.m.stats, stats)
+	s.m.nodes = grow(s.m.nodes, len(p))
+	for i, iv := range p {
+		st := stats[i]
+		if st.Len != iv.Len() {
+			return SummaryResult{}, fmt.Errorf("core: stat %d has length %d for interval %v of length %d", i, st.Len, iv, iv.Len())
+		}
+		s.m.nodes[i] = sparse.Node{Hi: iv.Hi, Sum: st.Sum, SumSq: st.SumSq}
+	}
 
 	rounds := s.mergeToTarget(k, opts)
 	return s.emitResult(rounds), nil
@@ -92,20 +98,15 @@ func (s *SummaryScratch) mergeToTarget(k int, opts Options) int {
 	return rounds
 }
 
-// emitResult copies the merge state into the output buffer the previous call
-// did NOT return, and derives piece values and the exact ℓ2 error from the
-// interval statistics.
+// emitResult writes the partition and piece values of the merge state into
+// the output buffer the previous call did NOT return, and derives the exact
+// ℓ2 error from the interval statistics.
 func (s *SummaryScratch) emitResult(rounds int) SummaryResult {
 	s.cur = 1 - s.cur
 	o := &s.out[s.cur]
-	o.part = grow(o.part, len(s.m.ivs))
-	copy(o.part, s.m.ivs)
-	o.vals = grow(o.vals, len(s.m.stats))
-	var sse float64
-	for i, st := range s.m.stats {
-		o.vals[i] = st.Mean()
-		sse += st.SSE()
-	}
+	o.part = grow(o.part, len(s.m.nodes))
+	o.vals = grow(o.vals, len(s.m.nodes))
+	sse := flatten(s.m.nodes, o.part, o.vals)
 	return SummaryResult{
 		Partition: o.part,
 		Values:    o.vals,

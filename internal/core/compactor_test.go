@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/interval"
@@ -78,6 +79,29 @@ func TestSummaryScratchMatchesConstructFromSummary(t *testing.T) {
 				t.Fatalf("trial %d: value %d = %v, want %v", trial, i, got.Values[i], wantPieces[i].Value)
 			}
 		}
+	}
+}
+
+// TestSummaryScratchRejectsStatLength: a stat whose Len is not its
+// interval's length is an error naming the index, not a silently different
+// answer.
+func TestSummaryScratchRejectsStatLength(t *testing.T) {
+	p := interval.Partition{interval.New(1, 4), interval.New(5, 8), interval.New(9, 10)}
+	stats := []sparse.Stat{{Len: 4, Sum: 4, SumSq: 4}, {Len: -3, Sum: 8, SumSq: 20}, {Len: 0, Sum: 1, SumSq: 1}}
+	var s SummaryScratch
+	if _, err := s.Construct(10, p, stats, 1, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "stat 1 ") {
+		t.Fatalf("Construct with stat 1 of length −3: error %v, want one naming stat 1", err)
+	}
+	if _, err := ConstructHistogramFromSummary(10, p, stats, 1, DefaultOptions()); err == nil {
+		t.Fatal("ConstructHistogramFromSummary accepted a stat of length −3")
+	}
+	stats[1].Len = 4
+	if _, err := s.Construct(10, p, stats, 1, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "stat 2 ") {
+		t.Fatalf("Construct with stat 2 of length 0: error %v, want one naming stat 2", err)
+	}
+	stats[2].Len = 2
+	if _, err := s.Construct(10, p, stats, 1, DefaultOptions()); err != nil {
+		t.Fatalf("consistent lengths: %v", err)
 	}
 }
 

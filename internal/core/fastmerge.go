@@ -78,7 +78,7 @@ func groupSize(s, keep int) int {
 // ties get only the leftover budget so no round can split every group and
 // stall.
 func (m *mergeState) groupRound(g, keep int) int {
-	s := len(m.ivs)
+	s := len(m.nodes)
 	numGroups := (s + g - 1) / g
 	if keep >= numGroups {
 		keep = numGroups - 1
@@ -106,13 +106,11 @@ func (m *mergeState) groupRound(g, keep int) int {
 		m.chunkOff[ci] = total
 		total += m.chunkOutLen[ci]
 	}
-	m.nextIvs = grow(m.nextIvs, total)
-	m.nextStats = grow(m.nextStats, total)
+	m.next = grow(m.next, total)
 
 	parallel.ForChunks(w, numGroups, nc, m.fnGroupWrite)
-	m.ivs, m.nextIvs = m.nextIvs[:total], m.ivs
-	m.stats, m.nextStats = m.nextStats[:total], m.stats
-	return len(m.ivs)
+	m.nodes, m.next = m.next[:total], m.nodes
+	return len(m.nodes)
 }
 
 // groupBounds returns the interval index range of group u under the current
@@ -120,22 +118,31 @@ func (m *mergeState) groupRound(g, keep int) int {
 func (m *mergeState) groupBounds(u int) (int, int) {
 	lo := u * m.g
 	hi := lo + m.g
-	if hi > len(m.ivs) {
-		hi = len(m.ivs)
+	if hi > len(m.nodes) {
+		hi = len(m.nodes)
 	}
 	return lo, hi
+}
+
+// mergeGroup returns the node of group u merged whole, its sums added left
+// to right.
+func (m *mergeState) mergeGroup(u int) sparse.Node {
+	lo, hi := m.groupBounds(u)
+	nd := m.nodes[lo]
+	for _, next := range m.nodes[lo+1 : hi] {
+		nd = nd.Merge(next)
+	}
+	return nd
 }
 
 // initGroupPasses binds the groupRound chunk passes (see initPasses).
 func (m *mergeState) initGroupPasses() {
 	m.fnGroupErrs = func(_, ulo, uhi int) {
+		prev := m.hiBefore(ulo * m.g)
 		for u := ulo; u < uhi; u++ {
-			lo, hi := m.groupBounds(u)
-			st := m.stats[lo]
-			for i := lo + 1; i < hi; i++ {
-				st = st.Add(m.stats[i])
-			}
-			m.errs[u] = st.SSE()
+			nd := m.mergeGroup(u)
+			m.errs[u] = nd.Stat(prev).SSE()
+			prev = nd.Hi
 		}
 	}
 	// Output sizing: a split group emits its hi−lo component intervals, a
@@ -172,17 +179,9 @@ func (m *mergeState) initGroupPasses() {
 				if tie {
 					tieLeft--
 				}
-				o += copy(m.nextIvs[o:], m.ivs[lo:hi])
-				copy(m.nextStats[o-(hi-lo):], m.stats[lo:hi])
+				o += copy(m.next[o:], m.nodes[lo:hi])
 			} else {
-				iv := m.ivs[lo]
-				st := m.stats[lo]
-				for i := lo + 1; i < hi; i++ {
-					iv = iv.Union(m.ivs[i])
-					st = st.Add(m.stats[i])
-				}
-				m.nextIvs[o] = iv
-				m.nextStats[o] = st
+				m.next[o] = m.mergeGroup(u)
 				o++
 			}
 		}

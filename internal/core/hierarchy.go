@@ -56,12 +56,8 @@ func ConstructHierarchicalHistogramWorkers(q *sparse.Func, workers int) *Hierarc
 }
 
 func (h *Hierarchy) record(m *mergeState) {
-	p := make(interval.Partition, len(m.ivs))
-	copy(p, m.ivs)
-	var sse float64
-	for _, st := range m.stats {
-		sse += st.SSE()
-	}
+	p := make(interval.Partition, len(m.nodes))
+	sse := flatten(m.nodes, p, nil)
 	h.levels = append(h.levels, Level{Partition: p, Error: math.Sqrt(sse)})
 }
 
@@ -71,46 +67,37 @@ func (h *Hierarchy) Levels() []Level { return h.levels }
 // NumLevels returns the number of recorded levels.
 func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 
-// levelFor returns the level ForK(k) serves — the first whose partition has
-// at most 8k pieces (the final level, with at most 7 pieces, always
-// qualifies) — along with its index. It returns an error if k < 1.
-func (h *Hierarchy) levelFor(k int) (Level, error) {
+// levelFor returns the index of the level ForK(k) serves — the first whose
+// partition has at most 8k pieces (the final level, with at most 7 pieces,
+// always qualifies). It returns an error if k < 1. The test is written
+// ⌈pieces/8⌉ ≤ k because 8k overflows int for k ≥ 2^60.
+func (h *Hierarchy) levelFor(k int) (int, error) {
 	if k < 1 {
-		return Level{}, fmt.Errorf("core: k must be ≥ 1, got %d", k)
+		return 0, fmt.Errorf("core: k must be ≥ 1, got %d", k)
 	}
-	for _, lv := range h.levels {
-		if len(lv.Partition) <= 8*k {
-			return lv, nil
+	for li, lv := range h.levels {
+		if (len(lv.Partition)+7)/8 <= k {
+			return li, nil
 		}
 	}
 	// Unreachable: the final level always has at most 7 pieces ≤ 8k.
-	return h.levels[len(h.levels)-1], nil
+	return len(h.levels) - 1, nil
 }
 
 // ForK returns the result for a target piece count k: the first level whose
 // partition has at most 8k pieces, flattened into a histogram. By
 // Theorem 3.5 its error is at most 2·opt_k. It returns an error if k < 1.
 func (h *Hierarchy) ForK(k int) (Result, error) {
-	if k < 1 {
-		return Result{}, fmt.Errorf("core: k must be ≥ 1, got %d", k)
+	li, err := h.levelFor(k)
+	if err != nil {
+		return Result{}, err
 	}
-	for li, lv := range h.levels {
-		if len(lv.Partition) <= 8*k {
-			return Result{
-				Partition: lv.Partition,
-				Histogram: FlattenHistogram(h.q, lv.Partition),
-				Error:     lv.Error,
-				Rounds:    li,
-			}, nil
-		}
-	}
-	// Unreachable: the final level always has at most 7 pieces ≤ 8k.
-	last := h.levels[len(h.levels)-1]
+	lv := h.levels[li]
 	return Result{
-		Partition: last.Partition,
-		Histogram: FlattenHistogram(h.q, last.Partition),
-		Error:     last.Error,
-		Rounds:    len(h.levels) - 1,
+		Partition: lv.Partition,
+		Histogram: FlattenHistogram(h.q, lv.Partition),
+		Error:     lv.Error,
+		Rounds:    li,
 	}, nil
 }
 
@@ -118,11 +105,11 @@ func (h *Hierarchy) ForK(k int) (Result, error) {
 // the exact flattening error at the level ForK(k) would select, read off
 // the level record without flattening.
 func (h *Hierarchy) ErrorEstimate(k int) (float64, error) {
-	lv, err := h.levelFor(k)
+	li, err := h.levelFor(k)
 	if err != nil {
 		return 0, err
 	}
-	return lv.Error, nil
+	return h.levels[li].Error, nil
 }
 
 // ParetoCurve returns, for every k in ks, the pair (pieces, error) of the
@@ -133,12 +120,12 @@ func (h *Hierarchy) ParetoCurve(ks []int) ([]int, []float64, error) {
 	pieces := make([]int, len(ks))
 	errs := make([]float64, len(ks))
 	for i, k := range ks {
-		lv, err := h.levelFor(k)
+		li, err := h.levelFor(k)
 		if err != nil {
 			return nil, nil, err
 		}
-		pieces[i] = len(lv.Partition)
-		errs[i] = lv.Error
+		pieces[i] = len(h.levels[li].Partition)
+		errs[i] = h.levels[li].Error
 	}
 	return pieces, errs, nil
 }

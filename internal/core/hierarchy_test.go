@@ -136,6 +136,33 @@ func TestHierarchyLargeKReturnsExact(t *testing.T) {
 	}
 }
 
+// TestHierarchyForKHugeK: every k whose 8k overflows int still serves the
+// finest level, which has at most 8k pieces.
+func TestHierarchyForKHugeK(t *testing.T) {
+	r := rng.New(71)
+	q := make([]float64, 4000)
+	for i := range q {
+		q[i] = r.NormFloat64()
+	}
+	h := ConstructHierarchicalHistogram(sparse.FromDense(q))
+	for _, k := range []int{1 << 59, 1 << 60, 1 << 62, math.MaxInt} {
+		res, err := h.ForK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != 0 || res.Error != 0 || len(res.Partition) != len(q) {
+			t.Fatalf("ForK(%d): level %d with %d pieces, error %v; want the finest level", k, res.Rounds, len(res.Partition), res.Error)
+		}
+		if e, err := h.ErrorEstimate(k); err != nil || e != 0 {
+			t.Fatalf("ErrorEstimate(%d) = %v, %v; want 0", k, e, err)
+		}
+		pieces, _, err := h.ParetoCurve([]int{k})
+		if err != nil || pieces[0] != len(q) {
+			t.Fatalf("ParetoCurve(%d) = %v, %v; want %d pieces", k, pieces, err, len(q))
+		}
+	}
+}
+
 func TestHierarchyParetoCurve(t *testing.T) {
 	r := rng.New(73)
 	q := make([]float64, 2000)

@@ -28,14 +28,15 @@ import (
 // (asserted by TestMergeInMatchesConstructOracle).
 
 // mergeInSweep emits the common refinement of (summary pieces ∪ delta
-// singletons) straight into the merge state's interval/stat arrays. A plain
-// struct with methods (rather than closures over locals) keeps the sweep
-// free of captured-variable heap traffic, like combineEmit on the maintainer
-// side; the arithmetic matches it term for term so refinement stats are
-// bit-identical to the full-reconstruct path.
+// singletons) straight into the merge state's nodes, one 24-byte
+// sparse.Node (right endpoint, Σq, Σq²) per refined piece; the pieces are
+// emitted left to right, so each starts one past the previous node's Hi. A
+// plain struct with methods (rather than closures over locals) keeps the
+// sweep free of captured-variable heap traffic, like combineEmit on the
+// maintainer side; the arithmetic matches it term for term so refinement
+// stats are bit-identical to the full-reconstruct path.
 type mergeInSweep struct {
-	ivs    []interval.Interval
-	stats  []sparse.Stat
+	nodes  []sparse.Node
 	deltas []sparse.Entry
 	di     int
 }
@@ -45,16 +46,14 @@ func (w *mergeInSweep) run(lo, hi int, v float64) {
 	if lo > hi {
 		return
 	}
-	w.ivs = append(w.ivs, interval.New(lo, hi))
 	length := float64(hi - lo + 1)
-	w.stats = append(w.stats, sparse.Stat{Len: hi - lo + 1, Sum: v * length, SumSq: v * v * length})
+	w.nodes = append(w.nodes, sparse.Node{Hi: hi, Sum: v * length, SumSq: v * v * length})
 }
 
 // point emits the touched point p with value v+delta.
 func (w *mergeInSweep) point(p int, v, delta float64) {
-	w.ivs = append(w.ivs, interval.New(p, p))
 	s := v + delta
-	w.stats = append(w.stats, sparse.Stat{Len: 1, Sum: s, SumSq: s * s})
+	w.nodes = append(w.nodes, sparse.Node{Hi: p, Sum: s, SumSq: s * s})
 }
 
 // refine splits the summary piece [lo, hi] (value v) around every delta
@@ -99,7 +98,7 @@ func (s *SummaryScratch) MergeIn(n int, part interval.Partition, values []float6
 	}
 	s.m.workers = parallel.Resolve(opts.Workers)
 
-	w := mergeInSweep{ivs: s.m.ivs[:0], stats: s.m.stats[:0], deltas: deltas}
+	w := mergeInSweep{nodes: s.m.nodes[:0], deltas: deltas}
 	if len(part) == 0 {
 		// No summary yet: one zero piece spans the domain.
 		w.refine(1, n, 0)
@@ -108,7 +107,7 @@ func (s *SummaryScratch) MergeIn(n int, part interval.Partition, values []float6
 			w.refine(iv.Lo, iv.Hi, values[i])
 		}
 	}
-	s.m.ivs, s.m.stats = w.ivs, w.stats
+	s.m.nodes = w.nodes
 
 	rounds := 0
 	if limit := max(maxPieces, opts.TargetPieces(k)); s.m.len() > limit {

@@ -58,24 +58,33 @@ func (o Options) validate() error {
 	return nil
 }
 
-// TargetPieces returns the loop exit threshold ⌊(2 + 2/δ)k + γ⌋: the
-// algorithm stops once at most this many intervals remain, so the output has
-// at most that many pieces.
+// TargetPieces returns the loop exit threshold ⌊(2 + 2/δ)k + γ⌋, saturated
+// at math.MaxInt: the algorithm stops once at most this many intervals
+// remain, so the output has at most that many pieces. A target past every
+// int (a huge k, or a tiny δ) runs no rounds and returns the exact I₀
+// flattening.
 func (o Options) TargetPieces(k int) int {
-	return int((2+2/o.Delta)*float64(k) + o.Gamma)
+	return floorBudget((2+2/o.Delta)*float64(k) + o.Gamma)
 }
 
-// KeepBudget returns ⌊(1 + 1/δ)k⌋ (at least 1), the per-round number of
-// candidate merges with the largest errors that are kept split (Algorithm 1,
-// line 16). Floor semantics match the paper's experimental parameterization:
-// with δ = 1000, k = 10 the target of 21 pieces is only reachable if the
-// keep budget rounds down to 10 in the final rounds.
+// KeepBudget returns ⌊(1 + 1/δ)k⌋ (at least 1, saturated at math.MaxInt),
+// the per-round number of candidate merges with the largest errors that are
+// kept split (Algorithm 1, line 16). Floor semantics match the paper's
+// experimental parameterization: with δ = 1000, k = 10 the target of 21
+// pieces is only reachable if the keep budget rounds down to 10 in the final
+// rounds.
 func (o Options) KeepBudget(k int) int {
-	b := int((1 + 1/o.Delta) * float64(k))
-	if b < 1 {
-		b = 1
+	return max(1, floorBudget((1+1/o.Delta)*float64(k)))
+}
+
+// floorBudget converts a piece budget to int, saturating at math.MaxInt
+// where the conversion would overflow (a budget of 2^63 or more, +Inf or
+// NaN).
+func floorBudget(x float64) int {
+	if !(x < math.MaxInt) {
+		return math.MaxInt
 	}
-	return b
+	return int(x)
 }
 
 // Result is the output of a merging run.
@@ -92,9 +101,13 @@ type Result struct {
 	Rounds int
 }
 
-// mergeState carries the live intervals and their statistics across rounds.
-// A merge adds the Stats of the two (or more) constituent intervals, keeping
-// every round linear in the number of live intervals.
+// mergeState carries the live intervals and their statistics across
+// rounds, one 24-byte sparse.Node each: the right endpoint and Σq, Σq².
+// The nodes partition [1, n] in order, so a node starts one past the
+// previous node's Hi, and a merge keeps the later Hi and adds the sums,
+// keeping every round linear in the number of live intervals. A pass over
+// a chunk that needs lengths reads the Hi of the node before the chunk;
+// the passes read nodes and write next, so no pass writes that slot.
 //
 // All scratch buffers are owned by the state and reused round after round:
 // after the first round a serial merging round performs no heap allocation
@@ -102,14 +115,12 @@ type Result struct {
 // pay O(workers) per chunk pass for goroutine spawns and their coordination
 // state — noise against the ≥ MinGrain items each worker processes.
 type mergeState struct {
-	ivs   []interval.Interval
-	stats []sparse.Stat
+	nodes []sparse.Node
 	// workers is the effective worker count (≥ 1) for the round passes.
 	workers int
 	// Scratch buffers reused across rounds.
 	errs       []float64
-	nextIvs    []interval.Interval
-	nextStats  []sparse.Stat
+	next       []sparse.Node
 	selScratch []float64
 	// Per-chunk scratch of the two-pass split/merge scheme.
 	chunkGreater []int // candidates strictly above the cut, per chunk
@@ -133,17 +144,30 @@ type mergeState struct {
 
 func newMergeState(q *sparse.Func, workers int) *mergeState {
 	w := parallel.Resolve(workers)
-	ivs, stats := q.InitialState(w)
-	m := &mergeState{ivs: ivs, stats: stats, workers: w}
+	m := &mergeState{nodes: q.InitialState(w), workers: w}
 	m.initPasses()
 	return m
+}
+
+// hiBefore returns the right endpoint of the node before nodes[i]: 0 for
+// the first node.
+func (m *mergeState) hiBefore(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return m.nodes[i-1].Hi
 }
 
 // initPasses binds the chunk passes shared by pairRound and groupRound.
 func (m *mergeState) initPasses() {
 	m.fnPairErrs = func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			m.errs[u] = m.stats[2*u].Add(m.stats[2*u+1]).SSE()
+		prev := m.hiBefore(2 * lo)
+		pairs := m.nodes[2*lo : 2*hi]
+		errs := m.errs[lo:hi]
+		for u := range errs {
+			nd := pairs[2*u].Merge(pairs[2*u+1])
+			errs[u] = nd.Stat(prev).SSE()
+			prev = nd.Hi
 		}
 	}
 	m.fnCount = func(ci, lo, hi int) {
@@ -174,12 +198,10 @@ func (m *mergeState) initPasses() {
 				if tie {
 					tieLeft--
 				}
-				m.nextIvs[o], m.nextIvs[o+1] = m.ivs[2*u], m.ivs[2*u+1]
-				m.nextStats[o], m.nextStats[o+1] = m.stats[2*u], m.stats[2*u+1]
+				m.next[o], m.next[o+1] = m.nodes[2*u], m.nodes[2*u+1]
 				o += 2
 			} else {
-				m.nextIvs[o] = m.ivs[2*u].Union(m.ivs[2*u+1])
-				m.nextStats[o] = m.stats[2*u].Add(m.stats[2*u+1])
+				m.next[o] = m.nodes[2*u].Merge(m.nodes[2*u+1])
 				o++
 			}
 		}
@@ -187,7 +209,7 @@ func (m *mergeState) initPasses() {
 	m.initGroupPasses()
 }
 
-func (m *mergeState) len() int { return len(m.ivs) }
+func (m *mergeState) len() int { return len(m.nodes) }
 
 // roundWorkers caps the configured worker count by the amount of work in
 // this round: below MinGrain items per worker the dispatch overhead wins,
@@ -206,20 +228,33 @@ func (m *mergeState) roundWorkers(items int) int {
 // finish flattens the summarized input over the final partition and
 // assembles the Result. n is the domain size.
 func (m *mergeState) finish(n, rounds int) Result {
-	p := make(interval.Partition, len(m.ivs))
-	copy(p, m.ivs)
-	values := make([]float64, len(m.stats))
-	var sse float64
-	for i, st := range m.stats {
-		values[i] = st.Mean()
-		sse += st.SSE()
-	}
+	p := make(interval.Partition, len(m.nodes))
+	values := make([]float64, len(m.nodes))
+	sse := flatten(m.nodes, p, values)
 	return Result{
 		Partition: p,
 		Histogram: NewHistogram(n, p, values),
 		Error:     math.Sqrt(sse),
 		Rounds:    rounds,
 	}
+}
+
+// flatten writes the intervals of nodes into p and their flattening values
+// into values (skipped when values is nil), both of length len(nodes), and
+// returns the squared ℓ2 error of the flattening, summed in index order.
+func flatten(nodes []sparse.Node, p interval.Partition, values []float64) float64 {
+	var sse float64
+	prev := 0
+	for i, nd := range nodes {
+		st := nd.Stat(prev)
+		p[i] = interval.Interval{Lo: prev + 1, Hi: nd.Hi}
+		if values != nil {
+			values[i] = st.Mean()
+		}
+		sse += st.SSE()
+		prev = nd.Hi
+	}
+	return sse
 }
 
 // grow returns xs resized to length n, reallocating only when the capacity
@@ -287,7 +322,7 @@ func (m *mergeState) cutAndTieBudgets(keep, w, nc int) {
 // precomputed offsets — so any number of workers produces the same interval
 // sequence the serial loop historically did, bit for bit.
 func (m *mergeState) pairRound(keep int) int {
-	s := len(m.ivs)
+	s := len(m.nodes)
 	pairs := s / 2
 	if keep >= pairs {
 		keep = pairs - 1 // guarantee progress: at least one pair merges
@@ -310,17 +345,14 @@ func (m *mergeState) pairRound(keep int) int {
 	if carry {
 		outLen++
 	}
-	m.nextIvs = grow(m.nextIvs, outLen)
-	m.nextStats = grow(m.nextStats, outLen)
+	m.next = grow(m.next, outLen)
 
 	parallel.ForChunks(w, pairs, nc, m.fnPairWrite)
 	if carry { // trailing unpaired interval
-		m.nextIvs[outLen-1] = m.ivs[s-1]
-		m.nextStats[outLen-1] = m.stats[s-1]
+		m.next[outLen-1] = m.nodes[s-1]
 	}
-	m.ivs, m.nextIvs = m.nextIvs[:outLen], m.ivs
-	m.stats, m.nextStats = m.nextStats[:outLen], m.stats
-	return len(m.ivs)
+	m.nodes, m.next = m.next[:outLen], m.nodes
+	return len(m.nodes)
 }
 
 // ConstructHistogram is Algorithm 1: it approximates the s-sparse function q

@@ -108,6 +108,63 @@ func TestTargetAndBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetsSaturate: a piece budget past every int saturates at
+// math.MaxInt instead of wrapping negative, so an over-large target runs
+// zero rounds and returns the exact I₀ flattening. The budgets are checked
+// first: a negative target would never let the merging loop end.
+func TestBudgetsSaturate(t *testing.T) {
+	tiny := Options{Delta: 1e-300, Gamma: 1}
+	budgets := []struct {
+		name string
+		got  int
+	}{
+		{"TargetPieces(2^61)", DefaultOptions().TargetPieces(1 << 61)},
+		{"TargetPieces(MaxInt)", PaperOptions().TargetPieces(math.MaxInt)},
+		{"KeepBudget(2^62)", DefaultOptions().KeepBudget(1 << 62)},
+		{"KeepBudget(MaxInt)", PaperOptions().KeepBudget(math.MaxInt)},
+		{"δ=1e-300 TargetPieces(1)", tiny.TargetPieces(1)},
+		{"δ=1e-300 KeepBudget(1)", tiny.KeepBudget(1)},
+	}
+	for _, b := range budgets {
+		if b.got != math.MaxInt {
+			t.Fatalf("%s = %d, want math.MaxInt", b.name, b.got)
+		}
+	}
+	// Below 2^63 the budget is converted as is (γ = 1 is lost to float64
+	// rounding at this scale).
+	if got := DefaultOptions().TargetPieces(1 << 59); got != 1<<61 {
+		t.Fatalf("TargetPieces(2^59) = %d, want 2^61", got)
+	}
+
+	r := rng.New(61)
+	q := make([]float64, 3000)
+	for i := range q {
+		q[i] = r.NormFloat64()
+	}
+	sf := sparse.FromDense(q)
+	fits := []struct {
+		name string
+		fit  func() (Result, error)
+	}{
+		{"ConstructHistogram k=2^61", func() (Result, error) { return ConstructHistogram(sf, 1<<61, DefaultOptions()) }},
+		{"ConstructHistogramFast k=2^61", func() (Result, error) { return ConstructHistogramFast(sf, 1<<61, DefaultOptions()) }},
+		{"ConstructHistogram δ=1e-300", func() (Result, error) { return ConstructHistogram(sf, 1, tiny) }},
+		{"ConstructHistogramFromSummary k=MaxInt", func() (Result, error) {
+			return ConstructHistogramFromSummary(sf.N(), sf.InitialPartition(), sf.StatsFor(sf.InitialPartition()), math.MaxInt, DefaultOptions())
+		}},
+	}
+	for _, f := range fits {
+		res, err := f.fit()
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if res.Rounds != 0 || res.Error != 0 || len(res.Partition) != len(q) {
+			t.Fatalf("%s: %d rounds, error %v, %d pieces; want the exact I₀ (0 rounds, error 0, %d pieces)",
+				f.name, res.Rounds, res.Error, len(res.Partition), len(q))
+		}
+	}
+}
+
 func TestConstructHistogramPieceBound(t *testing.T) {
 	r := rng.New(5)
 	for _, n := range []int{50, 500, 4096} {

@@ -246,8 +246,8 @@ func TestParallelEquivalenceHierarchy(t *testing.T) {
 }
 
 // The merging loop must not allocate after its scratch buffers warm up:
-// repeat runs on one state via the summary entry point and count allocs on
-// the steady-state rounds.
+// after one round on a state, further pair rounds (Algorithm 1) and group
+// rounds (fastmerging) on it are allocation-free on the serial path.
 func TestPairRoundSteadyStateAllocs(t *testing.T) {
 	q := make([]float64, 30000)
 	r := rng.New(5)
@@ -255,14 +255,18 @@ func TestPairRoundSteadyStateAllocs(t *testing.T) {
 		q[i] = r.NormFloat64()
 	}
 	sf := sparse.FromDense(q)
-	m := newMergeState(sf, 1)
-	// Warm up scratch on the first round, then the remaining rounds must be
-	// allocation-free.
-	m.pairRound(8)
-	allocs := testing.AllocsPerRun(3, func() {
-		m.pairRound(8)
-	})
-	if allocs > 0 {
-		t.Fatalf("pairRound allocated %v times per round after warm-up", allocs)
+	const keep = 8
+	for _, tc := range []struct {
+		name  string
+		round func(m *mergeState)
+	}{
+		{"pairRound", func(m *mergeState) { m.pairRound(keep) }},
+		{"groupRound", func(m *mergeState) { m.groupRound(groupSize(m.len(), keep), keep) }},
+	} {
+		m := newMergeState(sf, 1)
+		tc.round(m) // warm up the scratch
+		if allocs := testing.AllocsPerRun(3, func() { tc.round(m) }); allocs > 0 {
+			t.Fatalf("%s allocated %v times per round after warm-up", tc.name, allocs)
+		}
 	}
 }

@@ -136,8 +136,10 @@ const filterFactor = 4
 // (everything passes a ≥ test); if k ≤ 0 it returns +Inf (nothing passes).
 // xs is not modified.
 //
-// The merging algorithms use CountAbove together with this to keep exactly
-// the budgeted number of pairs split even when many errors tie at t.
+// The merging rounds pair the cut with per-chunk counts of the errors
+// strictly above and exactly at t (fnCount in core's cutAndTieBudgets) to
+// keep exactly the budgeted number of candidates split even when many
+// errors tie at t.
 func Threshold(xs []float64, k int) float64 {
 	cut, _ := ThresholdScratch(xs, k, nil)
 	return cut

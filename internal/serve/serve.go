@@ -450,11 +450,12 @@ type hierServed struct {
 func (*hierServed) kind() string { return "hierarchy" }
 
 // levelIndex mirrors ForK's level selection (first level with ≤ 8k pieces,
-// else the last) without paying for the flatten.
+// else the last) without paying for the flatten. Like ForK it compares
+// ⌈pieces/8⌉ with k, since 8k overflows int for k ≥ 2^60.
 func (s *hierServed) levelIndex(k int) int {
 	levels := s.hier.Levels()
 	for li, lv := range levels {
-		if len(lv.Partition) <= 8*k {
+		if (len(lv.Partition)+7)/8 <= k {
 			return li
 		}
 	}

@@ -270,6 +270,25 @@ func TestServeEveryKindBitIdentical(t *testing.T) {
 
 // TestServeSnapshotRoundTrip snapshots every hosted kind over the wire and
 // checks the bytes decode with the library's strict decoders.
+// TestHierLevelIndexMatchesForK: the served level is the one ForK picks,
+// also for a k whose 8k overflows int.
+func TestHierLevelIndexMatchesForK(t *testing.T) {
+	hier := core.ConstructHierarchicalHistogramWorkers(sparse.FromDense(testData(4000)), 1)
+	s := &hierServed{hier: hier}
+	for _, k := range []int{1, 2, 3, 10, 100, 1000, 1 << 59, 1 << 60, 1 << 62, math.MaxInt} {
+		res, err := hier.ForK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.levelIndex(k); got != res.Rounds {
+			t.Fatalf("k=%d: served level %d, ForK picks level %d", k, got, res.Rounds)
+		}
+		if k >= 1000 && res.Rounds != 0 {
+			t.Fatalf("k=%d: level %d, want the finest", k, res.Rounds)
+		}
+	}
+}
+
 func TestServeSnapshotRoundTrip(t *testing.T) {
 	const n = 1200
 	h := testHistogram(t, n, 8)

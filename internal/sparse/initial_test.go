@@ -153,22 +153,37 @@ func initialStateInputs(t *testing.T) map[string]*Func {
 	return in
 }
 
+// nodeIntervals returns the intervals and statistics a node sequence
+// stands for.
+func nodeIntervals(nodes []Node) (interval.Partition, []Stat) {
+	p := make(interval.Partition, len(nodes))
+	stats := make([]Stat, len(nodes))
+	prev := 0
+	for i, nd := range nodes {
+		p[i] = interval.Interval{Lo: prev + 1, Hi: nd.Hi}
+		stats[i] = nd.Stat(prev)
+		prev = nd.Hi
+	}
+	return p, stats
+}
+
 // TestInitialStateMatchesOracle: at every worker count the builder returns
 // exactly the old J → InitialPartition → StatsFor result, interval by
-// interval and bit by bit in every Stat, in slices of exact size.
+// interval and bit by bit in every Stat, in a slice of exact size.
 func TestInitialStateMatchesOracle(t *testing.T) {
 	for name, f := range initialStateInputs(t) {
 		wantP := initialPartitionOracle(f)
 		wantS := f.StatsFor(wantP)
 		for _, w := range []int{1, 2, 3, 8} {
-			p, stats := f.InitialState(w)
+			nodes := f.InitialState(w)
 			label := fmt.Sprintf("%s/workers=%d", name, w)
-			if len(p) != len(wantP) || len(stats) != len(wantS) {
-				t.Fatalf("%s: %d intervals and %d stats, want %d", label, len(p), len(stats), len(wantP))
+			if len(nodes) != len(wantP) {
+				t.Fatalf("%s: %d nodes, want %d", label, len(nodes), len(wantP))
 			}
-			if cap(p) != len(p) || cap(stats) != len(stats) {
-				t.Fatalf("%s: capacities %d/%d for %d intervals, want exact", label, cap(p), cap(stats), len(p))
+			if cap(nodes) != len(nodes) {
+				t.Fatalf("%s: capacity %d for %d nodes, want exact", label, cap(nodes), len(nodes))
 			}
+			p, stats := nodeIntervals(nodes)
 			for i := range wantP {
 				if p[i] != wantP[i] {
 					t.Fatalf("%s: interval %d is %v, want %v", label, i, p[i], wantP[i])
@@ -210,7 +225,7 @@ func TestInitialStateRandomSmall(t *testing.T) {
 		}
 		wantP := initialPartitionOracle(f)
 		wantS := f.StatsFor(wantP)
-		p, stats := f.InitialState(0)
+		p, stats := nodeIntervals(f.InitialState(0))
 		if len(p) != len(wantP) {
 			t.Fatalf("trial %d (n=%d, %v): %v, want %v", trial, n, es, p, wantP)
 		}

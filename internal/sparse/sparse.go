@@ -57,15 +57,19 @@ func New(n int, entries []Entry) (*Func, error) {
 }
 
 // FromDense converts a dense vector (q[0] is the value at point 1) to its
-// sparse representation, dropping exact zeros.
+// sparse representation, dropping exact zeros (−0 too; NaN is kept).
+// Every point is stored at the next free slot, which advances only past a
+// nonzero, so the loop has no branch around its store.
 func FromDense(q []float64) *Func {
-	es := make([]Entry, 0, len(q))
+	es := make([]Entry, len(q))
+	j := 0
 	for i, v := range q {
+		es[j] = Entry{Index: i + 1, Value: v}
 		if v != 0 {
-			es = append(es, Entry{Index: i + 1, Value: v})
+			j++
 		}
 	}
-	return &Func{n: len(q), entries: es}
+	return &Func{n: len(q), entries: es[:j]}
 }
 
 // N returns the domain size n.
@@ -125,12 +129,12 @@ func (f *Func) L2Norm() float64 {
 }
 
 // InitialState returns the paper's initial partition I₀ (Algorithm 1,
-// lines 3–9) together with its statistics, StatsFor(I₀). Every relevant
-// index — a member of J = ∪ⱼ {iⱼ−1, iⱼ, iⱼ+1} ∩ [1, n] — is a singleton
-// interval, and each maximal gap between consecutive relevant indices is
-// one (all-zero) interval. Flattening q over I₀ reproduces q exactly, and
-// |I₀| ≤ 4s + 1 = O(s). For a function with no nonzeros the whole domain is
-// a single interval.
+// lines 3–9) together with its statistics, StatsFor(I₀), as one Node per
+// interval. Every relevant index — a member of J = ∪ⱼ {iⱼ−1, iⱼ, iⱼ+1} ∩
+// [1, n] — is a singleton interval, and each maximal gap between
+// consecutive relevant indices is one (all-zero) interval. Flattening q
+// over I₀ reproduces q exactly, and |I₀| ≤ 4s + 1 = O(s). For a function
+// with no nonzeros the whole domain is a single interval.
 //
 // J itself is never materialized. Entry j owns the zero gap before its
 // first new relevant index and its new relevant indices: those of iⱼ−1,
@@ -140,14 +144,15 @@ func (f *Func) L2Norm() float64 {
 // its neighbours, so the entries are cut into one chunk per worker (up to
 // `workers`, ≤ 0 meaning all cores as in parallel.Resolve, with at least
 // parallel.MinGrain entries each): a parallel count pass, a prefix sum
-// over the chunks and a write pass build both slices at their exact
-// sizes. The output does not depend on the worker count, and every Stat
-// is built with StatsFor's arithmetic (Stat{Len: …}, then Sum += v and
-// SumSq += v*v), so the bits match too.
-func (f *Func) InitialState(workers int) (interval.Partition, []Stat) {
+// over the chunks and a write pass build the nodes at their exact size,
+// 24 bytes per interval (24 MB for a dense 2^20-point input). The output
+// does not depend on the worker count, and every node's sums are built
+// with StatsFor's arithmetic (from zero, Sum += v and SumSq += v*v), so
+// the bits match too.
+func (f *Func) InitialState(workers int) []Node {
 	s := len(f.entries)
 	if s == 0 {
-		return interval.Partition{interval.New(1, f.n)}, []Stat{{Len: f.n}}
+		return []Node{{Hi: f.n}}
 	}
 	w := max(1, min(parallel.Resolve(workers), s/parallel.MinGrain))
 	off := make([]int, w+1)
@@ -157,8 +162,7 @@ func (f *Func) InitialState(workers int) (interval.Partition, []Stat) {
 	for ci := 1; ci <= w; ci++ {
 		off[ci] += off[ci-1]
 	}
-	p := make(interval.Partition, off[w])
-	stats := make([]Stat, off[w])
+	nodes := make([]Node, off[w])
 	// The write pass runs its chunks on the calling goroutine. It follows
 	// the largest allocations of a fit, where a collection is likely to
 	// start, and with few Ps the collector marks only on a P that passes
@@ -167,15 +171,20 @@ func (f *Func) InitialState(workers int) (interval.Partition, []Stat) {
 	// and raised the next heap goal: back-to-back 2^20-point fits on 2 vCPUs
 	// peaked at up to 383 MB resident, against 291 MB with this pass serial.
 	parallel.ForChunks(1, s, w, func(ci, lo, hi int) {
-		f.writeOwned(lo, hi, p[off[ci]:off[ci+1]], stats[off[ci]:off[ci+1]])
+		f.writeOwned(lo, hi, nodes[off[ci]:off[ci+1]])
 	})
-	return p, stats
+	return nodes
 }
 
-// InitialPartition returns the partition half of InitialState, built
-// serially.
+// InitialPartition returns the intervals of InitialState, built serially.
 func (f *Func) InitialPartition() interval.Partition {
-	p, _ := f.InitialState(1)
+	nodes := f.InitialState(1)
+	p := make(interval.Partition, len(nodes))
+	prev := 0
+	for i, nd := range nodes {
+		p[i] = interval.Interval{Lo: prev + 1, Hi: nd.Hi}
+		prev = nd.Hi
+	}
 	return p
 }
 
@@ -207,9 +216,9 @@ func (f *Func) countOwned(lo, hi int) int {
 	return c
 }
 
-// writeOwned writes the I₀ intervals entries[lo:hi] own, and their
-// statistics, into p and stats, which countOwned sized exactly.
-func (f *Func) writeOwned(lo, hi int, p interval.Partition, stats []Stat) {
+// writeOwned writes the nodes of the I₀ intervals entries[lo:hi] own into
+// nodes, which countOwned sized exactly.
+func (f *Func) writeOwned(lo, hi int, nodes []Node) {
 	es := f.entries
 	prev := f.coveredBefore(lo)
 	o := 0
@@ -217,55 +226,67 @@ func (f *Func) writeOwned(lo, hi int, p interval.Partition, stats []Stat) {
 		i := es[j].Index
 		first := max(i-1, prev+1)
 		if first > prev+1 { // zero gap [prev+1, i−2]
-			p[o] = interval.Interval{Lo: prev + 1, Hi: first - 1}
-			stats[o] = Stat{Len: first - 1 - prev}
+			nodes[o] = Node{Hi: first - 1}
 			o++
 		}
 		if first < i { // i−1 is new and, lying past entry j−1, zero
-			p[o] = interval.Interval{Lo: i - 1, Hi: i - 1}
-			stats[o] = Stat{Len: 1}
+			nodes[o] = Node{Hi: i - 1}
 			o++
 		}
 		if first <= i { // entry j's own point, unless entry j−1 covered it
-			st := Stat{Len: 1}
+			nd := Node{Hi: i}
 			v := es[j].Value
-			st.Sum += v
-			st.SumSq += v * v
-			p[o] = interval.Interval{Lo: i, Hi: i}
-			stats[o] = st
+			nd.Sum += v
+			nd.SumSq += v * v
+			nodes[o] = nd
 			o++
 		}
 		if i < f.n { // i+1, which holds entry j+1 if that entry sits there
-			st := Stat{Len: 1}
+			nd := Node{Hi: i + 1}
 			if j+1 < len(es) && es[j+1].Index == i+1 {
 				v := es[j+1].Value
-				st.Sum += v
-				st.SumSq += v * v
+				nd.Sum += v
+				nd.SumSq += v * v
 			}
-			p[o] = interval.Interval{Lo: i + 1, Hi: i + 1}
-			stats[o] = st
+			nodes[o] = nd
 			o++
 		}
 		prev = min(i+1, f.n)
 	}
 	if hi == len(es) && prev < f.n {
-		p[o] = interval.Interval{Lo: prev + 1, Hi: f.n}
-		stats[o] = Stat{Len: f.n - prev}
+		nodes[o] = Node{Hi: f.n}
 	}
 }
 
 // Stat aggregates the statistics of q restricted to an interval that make
 // flattening O(1): the interval length and the sums Σq, Σq² over it.
-// Stats are merged by addition, which is what makes each merging round of
-// Algorithm 1 linear in the number of live intervals.
 type Stat struct {
 	Len        int
 	Sum, SumSq float64
 }
 
-// Add returns the statistics of the union of two adjacent intervals.
-func (s Stat) Add(t Stat) Stat {
-	return Stat{Len: s.Len + t.Len, Sum: s.Sum + t.Sum, SumSq: s.SumSq + t.SumSq}
+// Node is a live interval of the merging engine together with its
+// statistics, in 24 bytes: the interval's right endpoint and the sums Σq,
+// Σq² over it. Nodes are kept in order as a partition of [1, n], so a
+// node's interval starts one past the previous node's Hi (at 1 for the
+// first) and its length is Hi minus the previous Hi (0 before the first);
+// neither is stored, which keeps each round's memory traffic at 24 bytes
+// per interval. Nodes are merged by addition, which is what makes each
+// merging round of Algorithm 1 linear in the number of live intervals.
+type Node struct {
+	Hi         int
+	Sum, SumSq float64
+}
+
+// Merge returns the node of the union of nd and the node that follows it.
+func (nd Node) Merge(next Node) Node {
+	return Node{Hi: next.Hi, Sum: nd.Sum + next.Sum, SumSq: nd.SumSq + next.SumSq}
+}
+
+// Stat returns the node's statistics, given the right endpoint of the node
+// before it (0 for the first node).
+func (nd Node) Stat(prevHi int) Stat {
+	return Stat{Len: nd.Hi - prevHi, Sum: nd.Sum, SumSq: nd.SumSq}
 }
 
 // Mean returns μ_q(I), the value of the best 1-histogram approximation on the
@@ -289,7 +310,7 @@ func (s Stat) SSE() float64 {
 // partition in O(s + |p|) with one sweep over the nonzeros. The partition
 // must cover [1, n]. It allocates its result; the merging engine never
 // calls it (InitialState builds I₀'s statistics, and the rounds maintain
-// theirs incrementally by Stat.Add).
+// theirs incrementally by Node.Merge).
 func (f *Func) StatsFor(p interval.Partition) []Stat {
 	stats := make([]Stat, len(p))
 	ei := 0

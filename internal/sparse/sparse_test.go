@@ -53,6 +53,24 @@ func TestFromDenseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromDenseSpecialValues: −0 is a zero and is dropped, NaN and ±Inf
+// are nonzeros and are kept, with their bits.
+func TestFromDenseSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0x7ff8000000000123)
+	f := FromDense([]float64{negZero, nan, 0, math.Inf(-1), negZero, 4, 0})
+	want := []Entry{{2, nan}, {4, math.Inf(-1)}, {6, 4}}
+	es := f.Entries()
+	if f.N() != 7 || len(es) != len(want) {
+		t.Fatalf("N=%d entries %v, want %v", f.N(), es, want)
+	}
+	for i, e := range es {
+		if e.Index != want[i].Index || math.Float64bits(e.Value) != math.Float64bits(want[i].Value) {
+			t.Fatalf("entry %d is %v, want %v", i, e, want[i])
+		}
+	}
+}
+
 func TestAt(t *testing.T) {
 	f := FromDense([]float64{0, 5, 0, 7})
 	if f.At(1) != 0 || f.At(2) != 5 || f.At(3) != 0 || f.At(4) != 7 {
@@ -173,12 +191,16 @@ func TestStatSSEAndMean(t *testing.T) {
 	}
 }
 
-func TestStatAdd(t *testing.T) {
-	a := Stat{Len: 2, Sum: 3, SumSq: 5}
-	b := Stat{Len: 1, Sum: 4, SumSq: 16}
-	c := a.Add(b)
-	if c.Len != 3 || c.Sum != 7 || c.SumSq != 21 {
-		t.Fatalf("Add = %+v", c)
+func TestNodeMerge(t *testing.T) {
+	// [3, 4] and [5, 5] after a node ending at 2.
+	a := Node{Hi: 4, Sum: 3, SumSq: 5}
+	b := Node{Hi: 5, Sum: 4, SumSq: 16}
+	c := a.Merge(b)
+	if c.Hi != 5 || c.Sum != 7 || c.SumSq != 21 {
+		t.Fatalf("Merge = %+v", c)
+	}
+	if st := c.Stat(2); st != (Stat{Len: 3, Sum: 7, SumSq: 21}) {
+		t.Fatalf("Stat = %+v", st)
 	}
 }
 

@@ -31,6 +31,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -172,16 +173,22 @@ type Maintainer struct {
 
 // resolveBufferCap applies the shared default: 0 or negative picks a buffer
 // proportional to the summary size (8× the merging target, at least 64),
-// which keeps the amortized per-update cost constant.
-func resolveBufferCap(bufferCap, k int, opts core.Options) int {
+// which keeps the amortized per-update cost constant. A summary of [1, n]
+// never holds more than n pieces, so a target past n counts as n: a huge k
+// cannot ask for a buffer no allocation can hold.
+func resolveBufferCap(bufferCap, n, k int, opts core.Options) int {
 	if bufferCap > 0 {
 		return bufferCap
 	}
-	bufferCap = 8 * opts.TargetPieces(k)
-	if bufferCap < 64 {
-		return 64
+	return max(64, satMul(8, min(opts.TargetPieces(k), n)))
+}
+
+// satMul returns a·b for a, b ≥ 0, saturated at math.MaxInt.
+func satMul(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
 	}
-	return bufferCap
+	return a * b
 }
 
 // NewMaintainer builds a maintainer for the domain [1, n] targeting k-piece
@@ -210,9 +217,9 @@ func newMaintainer(n, k, bufferCap int, opts core.Options) (*Maintainer, error) 
 	target := opts.TargetPieces(k)
 	return &Maintainer{
 		n: n, k: k, opts: opts,
-		bufferCap:    resolveBufferCap(bufferCap, k, opts),
+		bufferCap:    resolveBufferCap(bufferCap, n, k, opts),
 		targetPieces: target,
-		maxPieces:    lazyExpandFactor * target,
+		maxPieces:    satMul(lazyExpandFactor, target),
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -26,6 +27,71 @@ func TestMaintainerValidation(t *testing.T) {
 	}
 	if err := m.Add(11, 1); err == nil {
 		t.Fatal("point 11 should error")
+	}
+}
+
+// TestMaintainerHugeK: with a k whose merging budgets pass every int, the
+// budgets saturate, compactions run no merging rounds and return promptly,
+// and the summary is the stream itself; a snapshot carrying that k restores
+// to an engine with the same summary. The default buffer counts a target
+// past n as n.
+func TestMaintainerHugeK(t *testing.T) {
+	opts := core.DefaultOptions()
+	const n, k = 600, 1 << 61
+	if opts.TargetPieces(k) <= 0 {
+		t.Fatalf("TargetPieces(2^61) = %d, want > 0", opts.TargetPieces(k))
+	}
+	for _, bufferCap := range []int{64, 0} {
+		m, err := NewMaintainer(n, k, bufferCap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bufferCap == 0 && m.bufferCap != 8*n {
+			t.Fatalf("default buffer %d, want 8n = %d", m.bufferCap, 8*n)
+		}
+		r := rng.New(83)
+		want := make([]float64, n)
+		for i := 0; i < 10000; i++ {
+			p, w := 1+r.Intn(n), float64(1+r.Intn(5))
+			want[p-1] += w
+			if err := m.Add(p, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.Compactions() == 0 {
+			t.Fatalf("bufferCap=%d: no compaction ran", bufferCap)
+		}
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := RestoreMaintainer(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := NewSharded(n, k, 2, bufferCap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = rng.New(83)
+		for i := 0; i < 10000; i++ {
+			if err := sh.Add(1+r.Intn(n), float64(1+r.Intn(5))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, eng := range []interface {
+			Summary() (*core.Histogram, error)
+		}{m, back, sh} {
+			h, err := eng.Summary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := 1; x <= n; x++ {
+				if h.At(x) != want[x-1] {
+					t.Fatalf("bufferCap=%d %T: summary at %d is %v, want the exact %v", bufferCap, eng, x, h.At(x), want[x-1])
+				}
+			}
+		}
 	}
 }
 
