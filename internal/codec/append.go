@@ -9,20 +9,20 @@ import (
 )
 
 // Append-into-frame helpers: the allocation-free face of the envelope
-// format, used by the serving layer's zero-copy response path and by the
-// stream engines' snapshots and deltas, which leave in a single write.
+// format, used by the serving layer's zero-copy response path, by the WAL's
+// records and by the stream engines' snapshots and deltas, which leave in a
+// single write.
 //
-// The Writer/Reader pair streams through an io.Writer/io.Reader and feeds a
-// running hash.Hash32 one small write at a time — the right shape for
-// snapshot files, and the wrong one for a hot serving loop, where the
-// interface calls and per-write CRC updates dominate the actual payload
-// bytes. These helpers instead build one complete envelope in a caller-owned
-// []byte (typically a pooled response buffer): header appended up front,
-// payload appended in place, and the CRC-32C footer computed by one
-// hardware-accelerated pass over the filled region. The Writer's sequence
-// methods encode through these helpers, so both producers emit identical
-// bytes for the same payload, and ParseFrame accepts either producer's
-// envelopes.
+// The Writer streams through an io.Writer and hashes each small write as it
+// goes — the right shape for snapshot files, and the wrong one for a hot
+// serving loop, where the interface calls and per-write CRC updates
+// dominate the actual payload bytes. These helpers instead build one
+// complete envelope in a caller-owned []byte (typically a pooled response
+// buffer): header appended up front, payload appended in place, and the
+// CRC-32C footer computed by one hardware-accelerated pass over the filled
+// region. The Writer's sequence methods encode through these helpers, so
+// both producers emit identical bytes for the same payload, and ParseFrame
+// accepts either producer's envelopes.
 
 // AppendFrameHeader appends the 6-byte envelope header (magic, version, tag)
 // for a frame starting at len(dst) and returns the extended slice. Pair with
@@ -45,6 +45,16 @@ func AppendVarint(dst []byte, v int64) []byte {
 // to Writer.Float64.
 func AppendFloat64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+// AppendInts appends a length prefix followed by every element as a
+// uvarint: the layout Ints reads. Elements must be non-negative.
+func AppendInts(dst []byte, xs []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	for _, x := range xs {
+		dst = binary.AppendUvarint(dst, uint64(x))
+	}
+	return dst
 }
 
 // AppendDeltaInts appends a strictly increasing integer sequence as a
@@ -144,214 +154,19 @@ func ParseFrame(buf []byte) (tag byte, payload []byte, err error) {
 	return buf[5], body[6:], nil
 }
 
-// FramePayload is a cursor over a ParseFrame payload: the zero-allocation
-// counterpart of Reader's payload methods. The checksum has already been
-// verified by ParseFrame, so methods only validate shape. Methods return an
-// error rather than panicking, whatever the bytes — decoding untrusted data
-// is the point.
-type FramePayload struct {
-	buf []byte
-	off int
-}
+// FramePayload decodes a ParseFrame payload in place: the payload
+// vocabulary of Reader over a slice that needs no refill. The checksum has
+// already been verified by ParseFrame, so methods only validate shape, and
+// they allocate only the sequences they return. Methods return an error
+// rather than panicking, whatever the bytes — decoding untrusted data is
+// the point.
+type FramePayload struct{ cursor }
 
 // NewFramePayload wraps payload bytes returned by ParseFrame.
 func NewFramePayload(payload []byte) FramePayload {
-	return FramePayload{buf: payload}
-}
-
-// Uvarint reads an unsigned varint.
-func (p *FramePayload) Uvarint() (uint64, error) {
-	u, n := binary.Uvarint(p.buf[p.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("codec: reading uvarint at offset %d", p.off)
-	}
-	p.off += n
-	return u, nil
-}
-
-// Varint reads a zig-zag signed varint.
-func (p *FramePayload) Varint() (int64, error) {
-	v, n := binary.Varint(p.buf[p.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("codec: reading varint at offset %d", p.off)
-	}
-	p.off += n
-	return v, nil
-}
-
-// Int reads a non-negative int value under Reader.Int's bound.
-func (p *FramePayload) Int() (int, error) {
-	u, err := p.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if u > math.MaxInt64/2 {
-		return 0, fmt.Errorf("codec: integer %d out of range", u)
-	}
-	return int(u), nil
-}
-
-// SliceLen reads a length prefix under the same sanity bound Reader.SliceLen
-// enforces.
-func (p *FramePayload) SliceLen() (int, error) {
-	u, err := p.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if u > maxElems {
-		return 0, fmt.Errorf("codec: length %d exceeds sanity bound", u)
-	}
-	return int(u), nil
-}
-
-// ReadByte reads one raw payload byte.
-func (p *FramePayload) ReadByte() (byte, error) {
-	if p.off >= len(p.buf) {
-		return 0, fmt.Errorf("codec: reading byte at offset %d", p.off)
-	}
-	b := p.buf[p.off]
-	p.off++
-	return b, nil
-}
-
-// Float64 reads raw IEEE-754 bits, little-endian.
-func (p *FramePayload) Float64() (float64, error) {
-	if p.off+8 > len(p.buf) {
-		return 0, fmt.Errorf("codec: reading float64 at offset %d", p.off)
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(p.buf[p.off:]))
-	p.off += 8
-	return f, nil
-}
-
-// FiniteFloat64 reads a float64 and rejects NaN and ±Inf, mirroring
-// Reader.FiniteFloat64.
-func (p *FramePayload) FiniteFloat64() (float64, error) {
-	f, err := p.Float64()
-	if err != nil {
-		return 0, err
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("codec: non-finite value %v", f)
-	}
-	return f, nil
-}
-
-// DeltaInts reads a strictly increasing integer sequence written by
-// Writer.DeltaInts or AppendDeltaInts, with the same validation the Reader
-// applies (no zero gaps, bounded elements, no overflow).
-func (p *FramePayload) DeltaInts() ([]int, error) {
-	k, err := p.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	// Every element takes at least one byte.
-	if k > len(p.buf)-p.off {
-		return nil, fmt.Errorf("codec: %d-element sequence in %d payload bytes", k, len(p.buf)-p.off)
-	}
-	const maxElem = int64(1) << 48
-	xs := make([]int, k)
-	for i := range xs {
-		if i == 0 {
-			v, err := p.Varint()
-			if err != nil {
-				return nil, err
-			}
-			if v < -maxElem || v > maxElem {
-				return nil, fmt.Errorf("codec: sequence start %d out of range", v)
-			}
-			xs[0] = int(v)
-			continue
-		}
-		gap, err := p.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if gap == 0 || gap > uint64(maxElem) {
-			return nil, fmt.Errorf("codec: bad sequence gap %d", gap)
-		}
-		next := xs[i-1] + int(gap)
-		if next <= xs[i-1] {
-			return nil, fmt.Errorf("codec: sequence overflow at element %d", i)
-		}
-		xs[i] = next
-	}
-	return xs, nil
-}
-
-// PackedFloat64s reads a sequence written by Writer.PackedFloat64s or
-// AppendPackedFloat64s into dst, reallocating it only when too small: the
-// zero-allocation counterpart of Reader.PackedFloat64s, with the same
-// validation (control nibbles ≤ 8, finite values only).
-func (p *FramePayload) PackedFloat64s(dst []float64) ([]float64, error) {
-	k, err := p.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	// Every pair of values takes at least its control byte.
-	if (k+1)/2 > len(p.buf)-p.off {
-		return nil, fmt.Errorf("codec: %d packed values in %d payload bytes", k, len(p.buf)-p.off)
-	}
-	dst = growFloat64s(dst, k)
-	var prev uint64
-	for i := 0; i < k; i += 2 {
-		ctrl, err := p.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		lz1, lz2 := int(ctrl>>4), int(ctrl&0x0f)
-		if lz1 > 8 || lz2 > 8 {
-			return nil, fmt.Errorf("codec: bad float control nibble %#02x", ctrl)
-		}
-		x, err := p.bigEndianTail(8 - lz1)
-		if err != nil {
-			return nil, err
-		}
-		prev ^= x
-		if dst[i], err = finite(prev); err != nil {
-			return nil, err
-		}
-		if i+1 < k {
-			x, err := p.bigEndianTail(8 - lz2)
-			if err != nil {
-				return nil, err
-			}
-			prev ^= x
-			if dst[i+1], err = finite(prev); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return dst, nil
-}
-
-// growFloat64s returns dst resliced to length k, reallocated only when its
-// capacity is short.
-func growFloat64s(dst []float64, k int) []float64 {
-	if cap(dst) < k {
-		return make([]float64, k)
-	}
-	return dst[:k]
-}
-
-// bigEndianTail reads nb big-endian bytes into the low bytes of a uint64.
-func (p *FramePayload) bigEndianTail(nb int) (uint64, error) {
-	if p.off+nb > len(p.buf) {
-		return 0, fmt.Errorf("codec: reading %d float bytes at offset %d", nb, p.off)
-	}
-	var x uint64
-	for _, b := range p.buf[p.off : p.off+nb] {
-		x = x<<8 | uint64(b)
-	}
-	p.off += nb
-	return x, nil
+	return FramePayload{cursor{buf: payload}}
 }
 
 // Done reports whether the payload has been fully consumed; decoders call it
 // last so trailing garbage inside a checksummed frame is still rejected.
-func (p *FramePayload) Done() error {
-	if p.off != len(p.buf) {
-		return fmt.Errorf("codec: %d trailing payload bytes", len(p.buf)-p.off)
-	}
-	return nil
-}
+func (p *FramePayload) Done() error { return p.done() }

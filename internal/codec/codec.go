@@ -19,16 +19,22 @@
 //     bit-identical by construction, unlike any decimal rendering.
 //
 // The CRC-32C footer covers everything from the magic onward, so truncation
-// and corruption are detected before a decoded object is ever used. Readers
-// consume exactly the bytes of one envelope and no more, so envelopes can be
-// concatenated on one stream.
+// and corruption are detected before a decoded object is ever used.
+//
+// One cursor decodes that vocabulary for both decoders. FramePayload runs
+// it over an in-memory payload whose CRC ParseFrame has already checked.
+// Reader runs it over a window refilled from an io.Reader: one io.ReadFull
+// and one CRC update per refill, sized by what the payload has already
+// promised (a k-element sequence takes at least k bytes). A valid envelope
+// backs every promise, so Reader consumes exactly one envelope and
+// envelopes can be concatenated on one stream.
 //
 // Per-type payload encoders live next to their types (core, piecewise,
 // quantile, wavelet, synopsis) as Encode*Payload / Decode*Payload functions
-// over this package's Writer and Reader; stream builds its envelopes with
-// the Append* helpers and decodes through Source, which Reader and
-// FramePayload both satisfy. The top-level package dispatches on the type
-// tag. Version 1 is pinned by golden fixtures under
+// over this package's Writer and Reader; stream and wal build their
+// envelopes with the Append* helpers, and stream decodes through Source,
+// which Reader and FramePayload both satisfy. The top-level package
+// dispatches on the type tag. Version 1 is pinned by golden fixtures under
 // testdata/ — future versions must keep decoding it.
 package codec
 
@@ -91,10 +97,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // O(k) with k orders of magnitude below this.
 const maxElems = 1 << 28
 
-// preallocElems caps the capacity Reader reserves for a declared sequence
-// length when its source cannot report how many bytes remain (see
-// Reader.reserve).
-const preallocElems = 1 << 12
+// MaxInt is the largest value Int decodes, 2^62 − 1: a configuration field
+// an engine checkpoints through Int must not exceed it.
+const MaxInt = math.MaxInt64 / 2
 
 // ErrChecksum is returned by Reader.Close when the footer CRC does not match
 // the consumed envelope bytes.
@@ -102,9 +107,9 @@ var ErrChecksum = errors.New("codec: checksum mismatch")
 
 // Source is the payload vocabulary both decoders speak: Reader over a
 // streamed envelope (CRC checked at Close) and FramePayload over an
-// in-memory frame (CRC checked up front by ParseFrame). A payload decoder
-// written against Source reads either byte source with the same
-// validation.
+// in-memory frame (CRC checked up front by ParseFrame). Both run the same
+// methods, so a payload decoder written against Source reads either byte
+// source with the same validation.
 type Source interface {
 	ReadByte() (byte, error)
 	Uvarint() (uint64, error)
@@ -112,6 +117,7 @@ type Source interface {
 	Int() (int, error)
 	SliceLen() (int, error)
 	FiniteFloat64() (float64, error)
+	Ints(dst []int) ([]int, error)
 	DeltaInts() ([]int, error)
 	PackedFloat64s(dst []float64) ([]float64, error)
 }
@@ -202,94 +208,6 @@ func (e *Writer) PackedFloat64s(fs []float64) {
 	e.raw(e.scratch)
 }
 
-// reserve returns the capacity to allocate for a declared sequence of k
-// elements, each at least 1/perByte of a byte long, so that a corrupt length
-// never costs more memory than the input backing it. A source that reports
-// the bytes left (bytes.Reader, bytes.Buffer, strings.Reader) gets k
-// checked against them and reserved whole; any other source gets at most
-// preallocElems, and the sequence grows by append as its bytes arrive.
-func (d *Reader) reserve(k, perByte int) (int, error) {
-	if r, ok := d.r.(interface{ Len() int }); ok {
-		if left := r.Len(); k > perByte*left {
-			return 0, fmt.Errorf("codec: %d elements declared with %d bytes left", k, left)
-		}
-		return k, nil
-	}
-	return min(k, preallocElems), nil
-}
-
-// PackedFloat64s reads a sequence written by Writer.PackedFloat64s into
-// dst, reallocating it only when too small, and rejects malformed control
-// nibbles and non-finite values.
-func (d *Reader) PackedFloat64s(dst []float64) ([]float64, error) {
-	k, err := d.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	// Every pair of values takes at least its control byte.
-	n, err := d.reserve(k, 2)
-	if err != nil {
-		return nil, err
-	}
-	fs := growFloat64s(dst, n)[:0]
-	var prev uint64
-	for i := 0; i < k; i += 2 {
-		ctrl, err := d.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		lz1, lz2 := int(ctrl>>4), int(ctrl&0x0f)
-		if lz1 > 8 || lz2 > 8 {
-			return nil, fmt.Errorf("codec: bad float control nibble %#02x", ctrl)
-		}
-		x, err := d.bigEndianTail(8 - lz1)
-		if err != nil {
-			return nil, err
-		}
-		prev ^= x
-		f, err := finite(prev)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, f)
-		if i+1 < k {
-			x, err := d.bigEndianTail(8 - lz2)
-			if err != nil {
-				return nil, err
-			}
-			prev ^= x
-			if f, err = finite(prev); err != nil {
-				return nil, err
-			}
-			fs = append(fs, f)
-		}
-	}
-	return fs, nil
-}
-
-// bigEndianTail reads nb bytes written by appendBigEndianTail.
-func (d *Reader) bigEndianTail(nb int) (uint64, error) {
-	if nb == 0 {
-		return 0, nil
-	}
-	if err := d.fill(nb); err != nil {
-		return 0, err
-	}
-	var x uint64
-	for _, b := range d.buf[:nb] {
-		x = x<<8 | uint64(b)
-	}
-	return x, nil
-}
-
-func finite(bits uint64) (float64, error) {
-	f := math.Float64frombits(bits)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("codec: non-finite value %v", f)
-	}
-	return f, nil
-}
-
 // DeltaInts appends a strictly increasing integer sequence in
 // AppendDeltaInts's layout, panicking like it on a non-increasing one.
 func (e *Writer) DeltaInts(xs []int) {
@@ -317,56 +235,30 @@ func (e *Writer) Close() error {
 	return e.err
 }
 
-// A Reader consumes exactly one envelope from r: Header validates the magic
-// and version and returns the tag, the payload methods mirror the Writer's,
-// and Close reads the footer and verifies the CRC. Every method returns an
-// error rather than panicking, whatever the input bytes — decoding untrusted
-// data is the point.
-type Reader struct {
-	r   io.Reader
-	crc hash.Hash32
-	n   int64
-	buf [8]byte
-}
+// A Reader consumes one envelope from r: Header validates the magic and
+// version and returns the tag, the payload methods mirror the Writer's, and
+// Close reads the footer and verifies the CRC. The payload methods are
+// FramePayload's, run over a window that refills from r in bulk (see
+// cursor), and read no byte past what the payload has promised, so a valid
+// envelope is consumed exactly. Every method returns an error rather than
+// panicking, whatever the input bytes — decoding untrusted data is the
+// point.
+type Reader struct{ cursor }
 
 // NewReader wraps r for decoding one envelope.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, crc: crc32.New(castagnoli)}
+	return &Reader{cursor{src: r}}
 }
 
-// fill reads exactly n ≤ 8 bytes into the scratch buffer, feeding the CRC.
-func (d *Reader) fill(n int) error {
-	if _, err := io.ReadFull(d.r, d.buf[:n]); err != nil {
-		if err == io.EOF && n > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("codec: short read: %w", err)
-	}
-	d.n += int64(n)
-	d.crc.Write(d.buf[:n])
-	return nil
-}
-
-// ReadByte reads one byte (it also makes Reader an io.ByteReader for the
-// varint helpers).
-func (d *Reader) ReadByte() (byte, error) {
-	if err := d.fill(1); err != nil {
+// Header validates the envelope prefix and returns the type tag. An error
+// wrapping io.EOF means r ended before the envelope's first byte; a partial
+// header gives io.ErrUnexpectedEOF.
+func (d *Reader) Header() (tag byte, err error) {
+	if err := d.need(6, 6); err != nil {
 		return 0, err
 	}
-	return d.buf[0], nil
-}
-
-// Header validates the envelope prefix and returns the type tag.
-func (d *Reader) Header() (tag byte, err error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, fmt.Errorf("codec: reading header: %w", err)
-	}
-	d.n += 6
-	d.crc.Write(hdr[:])
+	hdr := d.buf[d.off : d.off+6]
+	d.off += 6
 	if [4]byte(hdr[:4]) != Magic {
 		return 0, fmt.Errorf("codec: bad magic %q", hdr[:4])
 	}
@@ -376,160 +268,29 @@ func (d *Reader) Header() (tag byte, err error) {
 	return hdr[5], nil
 }
 
-// Uvarint reads an unsigned varint.
-func (d *Reader) Uvarint() (uint64, error) {
-	u, err := binary.ReadUvarint(d)
-	if err != nil {
-		return 0, fmt.Errorf("codec: reading uvarint: %w", err)
-	}
-	return u, nil
-}
-
-// Varint reads a zig-zag signed varint.
-func (d *Reader) Varint() (int64, error) {
-	v, err := binary.ReadVarint(d)
-	if err != nil {
-		return 0, fmt.Errorf("codec: reading varint: %w", err)
-	}
-	return v, nil
-}
-
-// Int reads a non-negative int value (a domain size, a counter), rejecting
-// only values that cannot fit an int. Length prefixes that drive allocations
-// go through Len instead.
-func (d *Reader) Int() (int, error) {
-	u, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if u > math.MaxInt64/2 {
-		return 0, fmt.Errorf("codec: integer %d out of range", u)
-	}
-	return int(u), nil
-}
-
-// SliceLen reads a length prefix, additionally enforcing the maxElems
-// sanity bound so a corrupt length cannot drive a huge allocation before
-// payload validation gets a chance to reject it.
-func (d *Reader) SliceLen() (int, error) {
-	u, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if u > maxElems {
-		return 0, fmt.Errorf("codec: length %d exceeds sanity bound", u)
-	}
-	return int(u), nil
-}
-
-// Float64 reads raw IEEE-754 bits, little-endian.
-func (d *Reader) Float64() (float64, error) {
-	if err := d.fill(8); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[:8])), nil
-}
-
-// FiniteFloat64 reads a float64 and rejects NaN and ±Inf — the binary
-// equivalent of the strictness JSON decoding gets for free (JSON cannot
-// carry non-finite numbers).
-func (d *Reader) FiniteFloat64() (float64, error) {
-	f, err := d.Float64()
-	if err != nil {
-		return 0, err
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("codec: non-finite value %v", f)
-	}
-	return f, nil
-}
-
-// Float64s reads a length-prefixed float slice, every element finite.
-func (d *Reader) Float64s() ([]float64, error) {
-	k, err := d.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.reserve(k, 1)
-	if err != nil {
-		return nil, err
-	}
-	fs := make([]float64, 0, n)
-	for range k {
-		f, err := d.FiniteFloat64()
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, f)
-	}
-	return fs, nil
-}
-
-// DeltaInts reads a strictly increasing integer sequence written by
-// Writer.DeltaInts, rejecting zero gaps and overflow.
-func (d *Reader) DeltaInts() ([]int, error) {
-	k, err := d.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	// Elements are bounded well below overflow (but far above any length
-	// bound: boundary values range over the domain size, which can be
-	// billions) so the accumulation below cannot wrap undetected.
-	// Every element takes at least one byte.
-	n, err := d.reserve(k, 1)
-	if err != nil {
-		return nil, err
-	}
-	const maxElem = int64(1) << 48
-	xs := make([]int, 0, n)
-	for i := range k {
-		if i == 0 {
-			v, err := d.Varint()
-			if err != nil {
-				return nil, err
-			}
-			if v < -maxElem || v > maxElem {
-				return nil, fmt.Errorf("codec: sequence start %d out of range", v)
-			}
-			xs = append(xs, int(v))
-			continue
-		}
-		gap, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if gap == 0 || gap > uint64(maxElem) {
-			return nil, fmt.Errorf("codec: bad sequence gap %d", gap)
-		}
-		next := xs[i-1] + int(gap)
-		if next <= xs[i-1] {
-			return nil, fmt.Errorf("codec: sequence overflow at element %d", i)
-		}
-		xs = append(xs, next)
-	}
-	return xs, nil
-}
-
 // Len returns the number of bytes consumed so far (footer included only
 // after Close).
-func (d *Reader) Len() int64 { return d.n }
+func (d *Reader) Len() int64 { return d.n - int64(d.avail()) }
 
 // Close reads the 4-byte footer and verifies the CRC over everything
 // consumed since NewReader. It must be called after the payload is fully
-// decoded; a mismatch (corruption, truncation, or a decoder that misread
-// the payload shape) returns ErrChecksum.
+// decoded: payload bytes left in the window are an error, and a mismatch
+// (corruption, truncation, or a decoder that misread the payload shape)
+// returns ErrChecksum.
 func (d *Reader) Close() error {
-	want := d.crc.Sum32()
+	if err := d.done(); err != nil {
+		return err
+	}
 	var foot [4]byte
-	if _, err := io.ReadFull(d.r, foot[:]); err != nil {
+	if _, err := io.ReadFull(d.src, foot[:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return fmt.Errorf("codec: reading checksum: %w", err)
 	}
 	d.n += 4
-	if got := binary.LittleEndian.Uint32(foot[:]); got != want {
-		return fmt.Errorf("%w: footer %08x, computed %08x", ErrChecksum, got, want)
+	if got := binary.LittleEndian.Uint32(foot[:]); got != d.crc {
+		return fmt.Errorf("%w: footer %08x, computed %08x", ErrChecksum, got, d.crc)
 	}
 	return nil
 }

@@ -10,31 +10,12 @@ import (
 	"testing/iotest"
 )
 
-// vocab is the payload vocabulary both decoders speak, Float64 included.
+// vocab is the payload vocabulary both decoders speak, Source plus the raw
+// float methods.
 type vocab interface {
 	Source
 	Float64() (float64, error)
-}
-
-// float64s reads a length-prefixed float slice through the source's own
-// Float64s where it has one, and element by element otherwise.
-func float64s(s vocab) ([]float64, error) {
-	if f, ok := s.(interface{ Float64s() ([]float64, error) }); ok {
-		return f.Float64s()
-	}
-	k, err := s.SliceLen()
-	if err != nil {
-		return nil, err
-	}
-	var fs []float64
-	for range k {
-		f, err := s.FiniteFloat64()
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, f)
-	}
-	return fs, nil
+	Float64s() ([]float64, error)
 }
 
 // fuzzOps is the script alphabet: script byte b runs fuzzOps[b%len(fuzzOps)].
@@ -46,9 +27,10 @@ var fuzzOps = []func(vocab) (any, error){
 	func(s vocab) (any, error) { return s.SliceLen() },
 	func(s vocab) (any, error) { return s.Float64() },
 	func(s vocab) (any, error) { return s.FiniteFloat64() },
-	func(s vocab) (any, error) { return float64s(s) },
+	func(s vocab) (any, error) { return s.Float64s() },
 	func(s vocab) (any, error) { return s.DeltaInts() },
 	func(s vocab) (any, error) { return s.PackedFloat64s(nil) },
+	func(s vocab) (any, error) { return s.Ints(nil) },
 }
 
 // Script bytes naming each op, in fuzzOps order.
@@ -63,6 +45,7 @@ const (
 	opFloat64s
 	opDeltaInts
 	opPackedFloat64s
+	opInts
 )
 
 // runScript decodes script from s and returns one rendering per value read,
@@ -110,11 +93,12 @@ func FuzzReaderMatchesFrame(f *testing.F) {
 	seed([]byte{opFloat64s}, AppendUvarint(nil, 3), AppendFloat64(nil, 1), AppendFloat64(nil, 2), AppendFloat64(nil, 3))
 	seed([]byte{opDeltaInts}, AppendDeltaInts(nil, []int{-5, 0, 3, 1000, 1 << 40}))
 	seed([]byte{opPackedFloat64s}, AppendPackedFloat64s(nil, []float64{1e-300, -1e300, 0.5, 0.5000001, 7}))
+	seed([]byte{opInts, opInts}, AppendInts(nil, []int{0, 7, 1 << 40, MaxInt}), AppendInts(nil, []int{0, MaxInt + 1}))
 	seed([]byte{opInt, opDeltaInts, opPackedFloat64s, opByte, opVarint},
 		AppendUvarint(nil, 4), AppendDeltaInts(nil, []int{1, 2, 9, 80}),
 		AppendPackedFloat64s(nil, []float64{3.25, 3.25, -1, 0}), []byte{7}, AppendVarint(nil, -300))
 	// Declared lengths of 2^28 elements over a few payload bytes.
-	for _, op := range []byte{opFloat64s, opDeltaInts, opPackedFloat64s} {
+	for _, op := range []byte{opFloat64s, opDeltaInts, opPackedFloat64s, opInts} {
 		seed([]byte{op}, AppendUvarint(nil, maxElems), []byte{1, 2, 3})
 	}
 

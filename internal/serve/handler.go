@@ -643,7 +643,17 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 		s.applyDelta(w, name, req)
 		return
 	}
-	if err := s.Load(name, bytes.NewReader(req)); err != nil {
+	// The body must be exactly one envelope: Load reads one from a stream
+	// and leaves the rest, but here the rest is part of the request.
+	rest := bytes.NewReader(req)
+	v, err := decodeAny(rest)
+	if err == nil && rest.Len() > 0 {
+		err = fmt.Errorf("serve: %d bytes after the snapshot envelope", rest.Len())
+	}
+	if err == nil {
+		err = s.Host(name, v)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

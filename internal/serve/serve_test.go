@@ -615,3 +615,44 @@ func TestPutHugeDeclaredSizesIsNot5xx(t *testing.T) {
 		}
 	}
 }
+
+// TestPutSnapshotRejectsTrailingBytes pushes a valid histogram envelope
+// followed by 16 garbage bytes. The body must be exactly one envelope, so
+// the push gets a 400 and the synopsis hosted before it keeps answering;
+// Load over the same bytes as a stream still reads its one envelope.
+func TestPutSnapshotRejectsTrailingBytes(t *testing.T) {
+	old, pushed := testHistogram(t, 500, 5), testHistogram(t, 500, 9)
+	srv := NewServer(&Config{Workers: 1})
+	if err := srv.Host("hist", old); err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if _, err := pushed.WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	body := append(blob.Bytes(), bytes.Repeat([]byte{0xee}, 16)...)
+
+	req := httptest.NewRequest(http.MethodPut, "/v1/hist/snapshot", bytes.NewReader(body))
+	req.Header.Set("Content-Type", ContentSnapshot)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("PUT with 16 trailing bytes: status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, ts.Client(), true)
+	for _, x := range []int{1, 250, 500} {
+		if got, err := c.Point("hist", x); err != nil || math.Float64bits(got) != math.Float64bits(old.At(x)) {
+			t.Fatalf("entry after the rejected push: Point(%d) = %v, %v, want %v", x, got, err, old.At(x))
+		}
+	}
+
+	stream := bytes.NewReader(body)
+	if err := srv.Load("loaded", stream); err != nil {
+		t.Fatalf("Load of one envelope from a longer stream: %v", err)
+	}
+	if stream.Len() != 16 {
+		t.Fatalf("Load left %d bytes of the stream, want the 16 after the envelope", stream.Len())
+	}
+}

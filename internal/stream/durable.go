@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -169,9 +168,7 @@ func RecoverDurableSharded(opts DurableOptions) (*DurableSharded, error) {
 		l.Close()
 		return nil, err
 	}
-	// The file holds exactly one envelope, so reading ahead is harmless,
-	// and it spares the decoder a read(2) per field.
-	s, err := RestoreSharded(bufio.NewReader(f))
+	s, err := RestoreSharded(f)
 	f.Close()
 	if err != nil {
 		l.Close()

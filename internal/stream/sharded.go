@@ -114,7 +114,7 @@ func NewSharded(n, k, shards, bufferCap int, opts core.Options) (*Sharded, error
 	p := parallel.Resolve(shards)
 	s := &Sharded{n: n, k: k, opts: opts, shards: make([]*ingestShard, p), epoch: newEpoch()}
 	for i := range s.shards {
-		m, err := newMaintainer(n, k, bufferCap, opts)
+		m, err := NewMaintainer(n, k, bufferCap, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,7 @@ import (
 //
 //	state = Int(updates) | Int(compactions) | Byte(hasView)
 //	        [| pieces | Float64(view error)]
-//	        | Int(logLen) | Int(index) × logLen | PackedFloat64s(weights)
+//	        | Ints(indices) | PackedFloat64s(weights)
 //	        [| Uvarint(tick) | Int(slots) | pieces × slots]
 //	pieces = DeltaInts(right endpoints) | PackedFloat64s(values)
 //
@@ -53,8 +53,9 @@ import (
 // Full snapshots decode from a streamed codec.Reader, whose CRC is checked
 // after the object is built; deltas from a codec.FramePayload, whose CRC
 // ParseFrame checks first. decodeState reads both through codec.Source. No
-// decoded size sizes an allocation ahead of the bytes that back it: logs,
-// rings and shard lists grow by append.
+// decoded size sizes an allocation ahead of the bytes that back it: the
+// codec's sequences grow with their input, and rings and shard lists grow
+// by append.
 
 // Windowed-envelope body modes.
 const (
@@ -195,12 +196,12 @@ func appendState(dst []byte, st *maintainerState) []byte {
 		dst = codec.AppendPackedFloat64s(dst, st.values)
 		dst = codec.AppendFloat64(dst, st.viewErr)
 	}
-	dst = codec.AppendUvarint(dst, uint64(len(st.log)))
+	idxs := make([]int, len(st.log))
 	weights := make([]float64, len(st.log))
 	for i, e := range st.log {
-		dst = codec.AppendUvarint(dst, uint64(e.Index))
-		weights[i] = e.Value
+		idxs[i], weights[i] = e.Index, e.Value
 	}
+	dst = codec.AppendInts(dst, idxs)
 	dst = codec.AppendPackedFloat64s(dst, weights)
 	if r := st.ring; r != nil {
 		dst = codec.AppendUvarint(dst, r.tick)
@@ -272,30 +273,25 @@ func decodeState(src codec.Source, n, epochs int) (st maintainerState, err error
 		err = fmt.Errorf("stream: bad view flag %d", flag)
 		return
 	}
-	logLen, err := src.SliceLen()
+	idxs, err := src.Ints(nil)
 	if err != nil {
 		return
-	}
-	for range logLen {
-		idx, err := src.Int()
-		if err != nil {
-			return st, err
-		}
-		if idx < 1 || idx > n {
-			return st, fmt.Errorf("stream: buffered point %d out of [1, %d]", idx, n)
-		}
-		st.log = append(st.log, sparse.Entry{Index: idx})
 	}
 	weights, err := src.PackedFloat64s(nil)
 	if err != nil {
 		return
 	}
-	if len(weights) != logLen {
-		err = fmt.Errorf("stream: %d buffered values for %d points", len(weights), logLen)
+	if len(weights) != len(idxs) {
+		err = fmt.Errorf("stream: %d buffered values for %d points", len(weights), len(idxs))
 		return
 	}
-	for i, w := range weights {
-		st.log[i].Value = w
+	st.log = make([]sparse.Entry, len(idxs))
+	for i, idx := range idxs {
+		if idx < 1 || idx > n {
+			err = fmt.Errorf("stream: buffered point %d out of [1, %d]", idx, n)
+			return
+		}
+		st.log[i] = sparse.Entry{Index: idx, Value: weights[i]}
 	}
 	if epochs > 0 {
 		st.ring, err = decodeRing(src, n, epochs)
@@ -481,7 +477,7 @@ func DecodePayload(dec *codec.Reader, tag byte) (any, error) {
 		}
 		return s, nil
 	}
-	m, err := newMaintainer(c.n, c.k, c.bufferCap, c.opts)
+	m, err := NewMaintainer(c.n, c.k, c.bufferCap, c.opts)
 	if err != nil {
 		return nil, err
 	}

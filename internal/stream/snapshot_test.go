@@ -2,9 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/rng"
 )
@@ -283,5 +285,96 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 	// A maintainer checkpoint is not a sharded checkpoint.
 	if _, err := RestoreSharded(bytes.NewReader(good)); err == nil {
 		t.Fatal("RestoreSharded accepted a maintainer checkpoint")
+	}
+}
+
+// TestConstructorsRejectUncheckpointableConfig: a checkpoint carries k and
+// the buffer capacity under codec.MaxInt, so every constructor refuses a
+// larger one instead of building an engine whose snapshot cannot restore.
+func TestConstructorsRejectUncheckpointableConfig(t *testing.T) {
+	const n, k = 600, codec.MaxInt + 1
+	opts := core.DefaultOptions()
+	constructors := map[string]func(k, bufferCap int) error{
+		"NewMaintainer": func(k, c int) error { _, err := NewMaintainer(n, k, c, opts); return err },
+		"NewSharded":    func(k, c int) error { _, err := NewSharded(n, k, 2, c, opts); return err },
+		"NewWindowedMaintainer": func(k, c int) error {
+			_, err := NewWindowedMaintainer(n, k, 4, c, opts)
+			return err
+		},
+		"NewWindowedSharded": func(k, c int) error { _, err := NewWindowedSharded(n, k, 4, 2, c, opts); return err },
+		"NewDurableSharded": func(k, c int) error {
+			d, err := NewDurableSharded(n, k, 1, c, opts, DurableOptions{Dir: t.TempDir()})
+			if err == nil {
+				d.Close()
+			}
+			return err
+		},
+	}
+	for name, build := range constructors {
+		if err := build(k, 64); err == nil {
+			t.Errorf("%s accepted k = 2^62", name)
+		}
+		if err := build(10, k); err == nil {
+			t.Errorf("%s accepted buffer capacity 2^62", name)
+		}
+	}
+}
+
+// TestLargestCheckpointableConfigRoundTrips: k = codec.MaxInt, a buffer
+// capacity of codec.MaxInt (a log that grows by append), and the default
+// buffer of a 2^61-point domain at that k snapshot and restore with their
+// pending updates intact.
+func TestLargestCheckpointableConfigRoundTrips(t *testing.T) {
+	const n = 600
+	points, weights := streamFixture(n, 100, 77)
+	m, err := NewMaintainer(n, codec.MaxInt, 0, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := NewMaintainer(n, 10, codec.MaxInt, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := NewMaintainer(1<<61, codec.MaxInt, 0, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSharded(n, codec.MaxInt, 2, 0, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []interface {
+		AddBatch([]int, []float64) error
+		Snapshot(io.Writer) error
+		EstimateRange(a, b int) (float64, error)
+	}{m, big, wide, s} {
+		if err := e.AddBatch(points, weights); err != nil {
+			t.Fatal(err)
+		}
+		var blob bytes.Buffer
+		if err := e.Snapshot(&blob); err != nil {
+			t.Fatal(err)
+		}
+		var restored interface {
+			EstimateRange(a, b int) (float64, error)
+		}
+		if _, ok := e.(*Sharded); ok {
+			restored, err = RestoreSharded(&blob)
+		} else {
+			restored, err = RestoreMaintainer(&blob)
+		}
+		if err != nil {
+			t.Fatalf("%T: restoring a fresh snapshot: %v", e, err)
+		}
+		for a := 1; a <= n; a += 97 {
+			want, err := e.EstimateRange(a, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := restored.EstimateRange(a, n)
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%T: EstimateRange(%d, %d) = %v, %v after restore, want %v", e, a, n, got, err, want)
+			}
+		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/sparse"
@@ -175,12 +176,13 @@ type Maintainer struct {
 // proportional to the summary size (8× the merging target, at least 64),
 // which keeps the amortized per-update cost constant. A summary of [1, n]
 // never holds more than n pieces, so a target past n counts as n: a huge k
-// cannot ask for a buffer no allocation can hold.
+// cannot ask for a buffer no allocation can hold. The default stays within
+// codec.MaxInt, the largest buffer a checkpoint carries.
 func resolveBufferCap(bufferCap, n, k int, opts core.Options) int {
 	if bufferCap > 0 {
 		return bufferCap
 	}
-	return max(64, satMul(8, min(opts.TargetPieces(k), n)))
+	return min(codec.MaxInt, max(64, satMul(8, min(opts.TargetPieces(k), n))))
 }
 
 // satMul returns a·b for a, b ≥ 0, saturated at math.MaxInt.
@@ -194,25 +196,19 @@ func satMul(a, b int) int {
 // NewMaintainer builds a maintainer for the domain [1, n] targeting k-piece
 // summaries. bufferCap controls the compaction period; 0 picks a default
 // proportional to the summary size (8× the merging target), which keeps the
-// amortized per-update cost constant.
+// amortized per-update cost constant. k and bufferCap may not exceed
+// codec.MaxInt, the largest value a checkpoint carries. The update log
+// grows by append, so a huge bufferCap costs nothing up front.
 func NewMaintainer(n, k, bufferCap int, opts core.Options) (*Maintainer, error) {
-	m, err := newMaintainer(n, k, bufferCap, opts)
-	if err != nil {
-		return nil, err
-	}
-	m.buffer = make([]sparse.Entry, 0, m.bufferCap)
-	return m, nil
-}
-
-// newMaintainer is NewMaintainer without the update-log allocation — the
-// summarizing core shared with Sharded, whose shards bring their own
-// double-buffered logs.
-func newMaintainer(n, k, bufferCap int, opts core.Options) (*Maintainer, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("stream: domain size %d < 1", n)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("stream: k must be ≥ 1, got %d", k)
+	}
+	if max(k, bufferCap) > codec.MaxInt {
+		return nil, fmt.Errorf("stream: k = %d, buffer capacity %d: neither may exceed %d, the largest value a checkpoint carries",
+			k, bufferCap, codec.MaxInt)
 	}
 	target := opts.TargetPieces(k)
 	return &Maintainer{

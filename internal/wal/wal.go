@@ -50,6 +50,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -405,10 +406,7 @@ func appendRecordFrame(dst []byte, seq uint64, points []int, weights []float64) 
 	frameStart := len(dst)
 	dst = codec.AppendFrameHeader(dst, codec.TagWALRecord)
 	dst = codec.AppendUvarint(dst, seq)
-	dst = codec.AppendUvarint(dst, uint64(len(points)))
-	for _, p := range points {
-		dst = codec.AppendUvarint(dst, uint64(p))
-	}
+	dst = codec.AppendInts(dst, points)
 	if weights == nil {
 		dst = append(dst, 0)
 	} else {
@@ -855,9 +853,9 @@ type scanResult struct {
 	tornErr   error
 }
 
-// countingReader counts the bytes the codec Reader consumes — exactly the
-// envelope bytes, since the Reader never over-reads — so frame offsets fall
-// out of the scan.
+// countingReader counts the bytes the codec Reader reads — exactly the
+// envelope bytes of an intact record, since the Reader never reads past
+// what the payload promised — so frame offsets fall out of the scan.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -923,8 +921,9 @@ func scanRecords(r io.Reader, fn func(Record) error) (scanResult, error) {
 
 // newBufferedReader smooths syscalls under the countingReader. Buffering
 // must sit BELOW the counter so goodBytes stays exact: countingReader
-// counts what the codec Reader consumes, and the codec Reader never reads
-// past its envelope, so the count lands precisely on frame boundaries.
+// counts what the codec Reader reads, and the codec Reader never reads past
+// what the payload promised, so after an intact record the count lands
+// precisely on its frame boundary.
 func newBufferedReader(r io.Reader) io.Reader {
 	return &bufReader{r: r}
 }
@@ -955,16 +954,11 @@ func (b *bufReader) Read(p []byte) (int, error) {
 // segment (EOF before any header byte); any other failure is a torn or
 // corrupt record.
 func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, error) {
-	// Peek one byte to distinguish clean EOF from a torn header.
-	var one [1]byte
-	if _, err := io.ReadFull(r, one[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, err
-	}
-	dec := codec.NewReader(io.MultiReader(strings.NewReader(string(one[:])), r))
+	dec := codec.NewReader(r)
 	tag, err := dec.Header()
+	if errors.Is(err, io.EOF) {
+		return Record{}, io.EOF
+	}
 	if err != nil {
 		return Record{}, err
 	}
@@ -975,18 +969,8 @@ func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, error) 
 	if rec.Seq, err = dec.Uvarint(); err != nil {
 		return Record{}, err
 	}
-	count, err := dec.SliceLen()
-	if err != nil {
+	if *points, err = dec.Ints(*points); err != nil {
 		return Record{}, err
-	}
-	if cap(*points) < count {
-		*points = make([]int, count)
-	}
-	*points = (*points)[:count]
-	for i := range *points {
-		if (*points)[i], err = dec.Int(); err != nil {
-			return Record{}, err
-		}
 	}
 	rec.Points = *points
 	flag, err := dec.ReadByte()
@@ -1001,8 +985,8 @@ func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, error) 
 		if err != nil {
 			return Record{}, err
 		}
-		if len(ws) != count {
-			return Record{}, fmt.Errorf("wal: %d weights for %d points", len(ws), count)
+		if len(ws) != len(rec.Points) {
+			return Record{}, fmt.Errorf("wal: %d weights for %d points", len(ws), len(rec.Points))
 		}
 		*weights = ws
 		rec.Weights = ws
