@@ -39,8 +39,8 @@ func benchmarkDecode(b *testing.B, blob []byte, decode func(io.Reader) error) {
 	}
 }
 
-// BenchmarkDecodeHistogram decodes mass-1 histograms of 41, 401 and 4,001
-// pieces over a 200,000-point domain.
+// BenchmarkDecodeHistogram decodes histograms of 41, 401 and 4,001 pieces
+// over a 200,000-point domain.
 func BenchmarkDecodeHistogram(b *testing.B) {
 	const n = 200_000
 	for _, pieces := range []int{41, 401, 4001} {
