@@ -28,6 +28,15 @@ func FuzzHistogramCodec(f *testing.F) {
 		mutated[len(mutated)/2] ^= 0x55
 		f.Add(mutated)
 	}
+	hier, err := FitMultiscaleWorkers(codecData(257), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var hierBuf bytes.Buffer
+	if _, err := hier.WriteTo(&hierBuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hierBuf.Bytes())
 	if cdf, err := NewCDF(mustFit(f, codecData(64), 3, &opts)); err == nil {
 		var buf bytes.Buffer
 		if _, err := cdf.WriteTo(&buf); err != nil {

@@ -215,7 +215,7 @@ func TestAppendDeltaIntsAndFloat64MatchWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := NewFramePayload(payload)
-		got, err := p.DeltaInts()
+		got, err := p.DeltaInts(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

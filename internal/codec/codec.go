@@ -118,7 +118,7 @@ type Source interface {
 	SliceLen() (int, error)
 	FiniteFloat64() (float64, error)
 	Ints(dst []int) ([]int, error)
-	DeltaInts() ([]int, error)
+	DeltaInts(dst []int) ([]int, error)
 	PackedFloat64s(dst []float64) ([]float64, error)
 }
 

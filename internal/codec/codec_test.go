@@ -85,7 +85,7 @@ func TestDeltaIntsRoundTrip(t *testing.T) {
 	}
 	for _, want := range seqs {
 		r, _ := roundTrip(t, TagHistogram, func(w *Writer) { w.DeltaInts(want) })
-		got, err := r.DeltaInts()
+		got, err := r.DeltaInts(nil)
 		if err != nil {
 			t.Fatalf("DeltaInts(%v): %v", want, err)
 		}
@@ -283,17 +283,18 @@ func TestConcatenatedEnvelopes(t *testing.T) {
 
 // TestDeclaredLengthsAllocateNothing declares the largest length SliceLen
 // accepts (2^28 elements, 2 GiB as ints or floats) in a few-byte payload.
-// Every sequence decoder must fail without allocating for the declaration:
-// Reader checks it against the bytes a bytes.Reader has left, or grows as
-// bytes arrive from a source that cannot tell, and FramePayload checks it
-// against the payload.
+// Every sequence decoder must fail without allocating for the declaration.
+// A decoder sizes its result by the bytes in its window, not by the
+// declared length. A Reader refills that window by at most 64 KiB of
+// promised bytes at a time, so a short source ends in a short read first.
+// FramePayload's window is the whole payload.
 func TestDeclaredLengthsAllocateNothing(t *testing.T) {
 	payload := AppendUvarint(nil, maxElems)
 	payload = append(payload, 1, 2, 3)
 	frame := FinishFrame(append(AppendFrameHeader(nil, TagHistogram), payload...), 0)
 	opaque := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
 	decoders := map[string]func(Source) error{
-		"DeltaInts":      func(s Source) error { _, err := s.DeltaInts(); return err },
+		"DeltaInts":      func(s Source) error { _, err := s.DeltaInts(nil); return err },
 		"PackedFloat64s": func(s Source) error { _, err := s.PackedFloat64s(nil); return err },
 	}
 	for name, decode := range decoders {

@@ -238,8 +238,9 @@ func (c *cursor) Ints(dst []int) ([]int, error) {
 }
 
 // DeltaInts reads a strictly increasing integer sequence written by
-// AppendDeltaInts, rejecting zero gaps and overflow.
-func (c *cursor) DeltaInts() ([]int, error) {
+// AppendDeltaInts into dst, reallocating it only when too small, and
+// rejects zero gaps and overflow.
+func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 	k, err := c.SliceLen()
 	if err != nil {
 		return nil, err
@@ -248,7 +249,10 @@ func (c *cursor) DeltaInts() ([]int, error) {
 	if err := c.need(min(k, maxAhead), k); err != nil {
 		return nil, err
 	}
-	xs := make([]int, 0, min(k, c.avail()))
+	xs := dst[:0]
+	if cap(dst) < k {
+		xs = make([]int, 0, min(k, c.avail()))
+	}
 	// Elements are bounded well below overflow (but far above any length
 	// bound: boundary values range over the domain size, which can be
 	// billions) so the accumulation below cannot wrap undetected.

@@ -28,7 +28,7 @@ var fuzzOps = []func(vocab) (any, error){
 	func(s vocab) (any, error) { return s.Float64() },
 	func(s vocab) (any, error) { return s.FiniteFloat64() },
 	func(s vocab) (any, error) { return s.Float64s() },
-	func(s vocab) (any, error) { return s.DeltaInts() },
+	func(s vocab) (any, error) { return s.DeltaInts(nil) },
 	func(s vocab) (any, error) { return s.PackedFloat64s(nil) },
 	func(s vocab) (any, error) { return s.Ints(nil) },
 }

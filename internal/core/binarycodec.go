@@ -47,7 +47,7 @@ func DecodeHistogramPayload(r *codec.Reader) (*Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	ends, err := r.DeltaInts()
+	ends, err := r.DeltaInts(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +117,7 @@ func DecodeHistogram(r io.Reader) (*Histogram, error) {
 }
 
 // EncodeSparsePayload writes a sparse function as (n, delta-encoded indices,
-// raw-bits values). Exported for the stream checkpoints, which persist
-// pending update logs in the same vocabulary.
+// raw-bits values): the input a hierarchy payload carries.
 func EncodeSparsePayload(w *codec.Writer, q *sparse.Func) {
 	w.Int(q.N())
 	entries := q.Entries()
@@ -136,57 +135,70 @@ func EncodeSparsePayload(w *codec.Writer, q *sparse.Func) {
 
 // DecodeSparsePayload reads and validates a sparse function payload:
 // indices strictly increasing inside [1, n], values finite and nonzero (a
-// zero would be silently dropped by the sparse constructor, breaking the
-// encode→decode→encode bit-identity contract).
+// zero would be silently dropped by sparse.New, breaking the
+// encode→decode→encode bit-identity contract). The delta encoding already
+// orders the indices, so the entries are handed to sparse.FromSorted, which
+// checks them in one pass and keeps them without a copy or a sort.
 func DecodeSparsePayload(r *codec.Reader) (*sparse.Func, error) {
+	q, _, err := decodeSparse(r)
+	return q, err
+}
+
+// decodeSparse is DecodeSparsePayload, also handing back the buffer the
+// indices were read into, which the caller may reuse.
+func decodeSparse(r *codec.Reader) (*sparse.Func, []int, error) {
 	n, err := r.Int()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	idxs, err := r.DeltaInts()
+	idxs, err := r.DeltaInts(nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	values, err := r.PackedFloat64s(nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(values) != len(idxs) {
-		return nil, fmt.Errorf("core: %d values for %d sparse indices", len(values), len(idxs))
+		return nil, nil, fmt.Errorf("core: %d values for %d sparse indices", len(values), len(idxs))
 	}
 	entries := make([]sparse.Entry, len(idxs))
 	for i, idx := range idxs {
-		if values[i] == 0 {
-			return nil, fmt.Errorf("core: zero value at sparse index %d", idx)
-		}
 		entries[i] = sparse.Entry{Index: idx, Value: values[i]}
 	}
-	q, err := sparse.New(n, entries)
+	q, err := sparse.FromSorted(n, entries)
 	if err != nil {
-		return nil, fmt.Errorf("core: decoding sparse function: %w", err)
+		return nil, nil, fmt.Errorf("core: decoding sparse function: %w", err)
 	}
-	return q, nil
+	return q, idxs, nil
 }
 
 // EncodeHierarchyPayload writes a hierarchy's wire payload: the input sparse
 // function (ForK flattens it when serving a level) followed by every
-// recorded level's boundaries and error.
+// level's boundaries and error, re-emitted from I₀'s endpoints and their
+// death rounds.
 func EncodeHierarchyPayload(w *codec.Writer, h *Hierarchy) {
 	EncodeSparsePayload(w, h.q)
-	w.Int(len(h.levels))
-	for _, lv := range h.levels {
-		w.DeltaInts(lv.Partition.Boundaries())
-		w.Float64(lv.Error)
-	}
+	w.Int(len(h.pieces))
+	h.eachLevel(func(li int, ends []int) {
+		w.DeltaInts(ends)
+		w.Float64(h.errs[li])
+	})
 }
 
 // DecodeHierarchyPayload reads and validates a hierarchy payload. Structural
-// invariants of Algorithm 2's output are enforced: at least one level, every
-// level a valid partition of [1, n], strictly decreasing level sizes with
-// each level refining its successor, the final level under 8 pieces (what
-// makes ForK total), and non-negative finite errors.
+// invariants of Algorithm 2's output are enforced: one to maxLevels levels,
+// every level a valid partition of [1, n], strictly decreasing level sizes
+// with each level refining its successor, the final level under 8 pieces
+// (what makes ForK total), and non-negative finite errors.
+//
+// Level 0 becomes the hierarchy's I₀ endpoints. Every later level is read
+// into one reused buffer and folded into death rounds in one pass over the
+// level above it, and the fold is the nesting check: it fails unless the
+// level's endpoints are a subset of the previous level's that keeps n.
 func DecodeHierarchyPayload(r *codec.Reader) (*Hierarchy, error) {
-	q, err := DecodeSparsePayload(r)
+	// The input's index buffer becomes the levels' read buffer, vals.
+	q, vals, err := decodeSparse(r)
 	if err != nil {
 		return nil, err
 	}
@@ -197,39 +209,82 @@ func DecodeHierarchyPayload(r *codec.Reader) (*Hierarchy, error) {
 	if numLevels < 1 {
 		return nil, fmt.Errorf("core: hierarchy with no levels")
 	}
-	h := &Hierarchy{q: q, levels: make([]Level, 0, numLevels)}
-	for li := 0; li < numLevels; li++ {
-		ends, err := r.DeltaInts()
-		if err != nil {
-			return nil, err
-		}
-		part, err := interval.FromBoundaries(q.N(), ends)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding hierarchy level %d: %w", li, err)
-		}
-		e, err := r.FiniteFloat64()
-		if err != nil {
-			return nil, err
-		}
-		if e < 0 {
-			return nil, fmt.Errorf("core: hierarchy level %d has negative error %v", li, e)
-		}
-		if li > 0 {
-			prev := h.levels[li-1].Partition
-			if len(part) >= len(prev) {
-				return nil, fmt.Errorf("core: hierarchy level %d has %d pieces, not fewer than the %d above it",
-					li, len(part), len(prev))
-			}
-			if !prev.Refines(part) {
-				return nil, fmt.Errorf("core: hierarchy level %d is not a coarsening of level %d", li, li-1)
-			}
-		}
-		h.levels = append(h.levels, Level{Partition: part, Error: e})
+	if numLevels > maxLevels {
+		return nil, fmt.Errorf("core: hierarchy of %d levels, more than %d", numLevels, maxLevels)
 	}
-	if last := len(h.levels[len(h.levels)-1].Partition); last >= 8 {
+	n := q.N()
+	ends, err := r.DeltaInts(nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(ends) == 0 || ends[0] < 1 || ends[len(ends)-1] != n {
+		return nil, fmt.Errorf("core: hierarchy level 0 is not a partition of [1, %d]", n)
+	}
+	h := &Hierarchy{q: q, ends: ends, death: make([]uint8, len(ends))}
+	// pos[j] is the I₀ index of the last folded level's j-th endpoint.
+	pos := make([]int, len(ends))
+	for i := range pos {
+		h.death[i], pos[i] = alive, i
+	}
+	if err := h.readLevelError(r, len(ends)); err != nil {
+		return nil, err
+	}
+	for li := 1; li < numLevels; li++ {
+		if vals, err = r.DeltaInts(vals); err != nil {
+			return nil, err
+		}
+		if len(vals) >= len(pos) {
+			return nil, fmt.Errorf("core: hierarchy level %d has %d pieces, not fewer than the %d above it",
+				li, len(vals), len(pos))
+		}
+		if !h.fold(uint8(li), pos, vals) {
+			return nil, fmt.Errorf("core: hierarchy level %d is not a coarsening of level %d", li, li-1)
+		}
+		pos = pos[:len(vals)]
+		if err := h.readLevelError(r, len(vals)); err != nil {
+			return nil, err
+		}
+	}
+	if last := h.pieces[len(h.pieces)-1]; last >= 8 {
 		return nil, fmt.Errorf("core: final hierarchy level has %d pieces, want < 8", last)
 	}
 	return h, nil
+}
+
+// fold records level li, whose right endpoints are vals, in the death
+// bytes: an endpoint of the level above, whose I₀ indices are pos, dies at
+// li when vals lacks it. pos is compacted in place to level li's indices.
+// fold reports whether vals is a subset of the level above that keeps n,
+// the last endpoint of every level.
+func (h *Hierarchy) fold(li uint8, pos, vals []int) bool {
+	j := 0
+	for _, p := range pos {
+		if j < len(vals) && vals[j] <= h.ends[p] {
+			if vals[j] < h.ends[p] {
+				return false // not an endpoint of the level above
+			}
+			pos[j] = p
+			j++
+			continue
+		}
+		h.death[p] = li
+	}
+	return j == len(vals) && h.death[len(h.death)-1] == alive
+}
+
+// readLevelError reads the next level's error, which must be finite and
+// non-negative, and records the level.
+func (h *Hierarchy) readLevelError(r *codec.Reader, pieces int) error {
+	e, err := r.FiniteFloat64()
+	if err != nil {
+		return err
+	}
+	if e < 0 {
+		return fmt.Errorf("core: hierarchy level %d has negative error %v", len(h.pieces), e)
+	}
+	h.pieces = append(h.pieces, pieces)
+	h.errs = append(h.errs, e)
+	return nil
 }
 
 // WriteTo encodes the hierarchy as one binary envelope and implements

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -384,5 +386,100 @@ func TestHierarchyBinaryRejectsMalformed(t *testing.T) {
 	w.Close()
 	if _, err := DecodeHierarchy(bytes.NewReader(bad.Bytes())); err == nil {
 		t.Error("accepted non-nested hierarchy levels")
+	}
+}
+
+// TestHierarchyDeclaredLevelsAllocateNothing declares 2^22 and then 2^28
+// levels in an envelope of a few bytes. The decoder must fail without
+// sizing anything by the declaration, from a bytes.Reader and from a
+// stream that cannot tell how much is left.
+func TestHierarchyDeclaredLevelsAllocateNothing(t *testing.T) {
+	q, err := sparse.New(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opaque := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
+	for _, declared := range []int{1 << 22, 1 << 28} {
+		var buf bytes.Buffer
+		w := codec.NewWriter(&buf, codec.TagHierarchy)
+		EncodeSparsePayload(w, q)
+		w.Int(declared)
+		w.DeltaInts([]int{1})
+		w.Float64(0)
+		w.Close()
+		for name, src := range map[string]io.Reader{
+			"bytes":  bytes.NewReader(buf.Bytes()),
+			"stream": opaque(buf.Bytes()),
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeHierarchy(src)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%d-byte envelope declaring %d levels decoded from %s", buf.Len(), declared, name)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("%d declared levels from %s allocated %d bytes", declared, name, grew)
+			}
+		}
+	}
+}
+
+// TestHierarchyLevelCountLimit: a well-formed hierarchy of maxLevels levels
+// decodes and re-encodes byte for byte; one more level is refused.
+func TestHierarchyLevelCountLimit(t *testing.T) {
+	const n = 300
+	q, err := sparse.New(n, []sparse.Entry{{Index: 7, Value: 1.5}, {Index: 200, Value: -2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Level li keeps 1, …, pieces−1 and n: one endpoint fewer per level,
+	// down to 7 pieces.
+	levels := func(count int) [][]int {
+		var out [][]int
+		for pieces := count + 6; pieces >= 7; pieces-- {
+			ends := make([]int, pieces)
+			for i := range ends {
+				ends[i] = i + 1
+			}
+			ends[pieces-1] = n
+			out = append(out, ends)
+		}
+		return out
+	}
+	blob := hierarchyEnvelope(q, levels(maxLevels)...)
+	h, err := DecodeHierarchy(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("%d levels: %v", maxLevels, err)
+	}
+	var re bytes.Buffer
+	if _, err := h.WriteTo(&re); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), blob) {
+		t.Fatalf("%d levels: re-encoded bytes differ", maxLevels)
+	}
+	if last := h.Levels()[maxLevels-1].Partition; len(last) != 7 || last[5].Hi != 6 || last[6].Lo != 7 {
+		t.Fatalf("final level %v, want six singletons and [7, %d]", last, n)
+	}
+	if _, err := DecodeHierarchy(bytes.NewReader(hierarchyEnvelope(q, levels(maxLevels+1)...))); err == nil {
+		t.Fatalf("%d levels decoded", maxLevels+1)
+	}
+}
+
+// TestHierarchyRoundsFitDeathByte: a round over s ≥ 8 intervals merges
+// ⌊s/2⌋ − ⌊s/4⌋ pairs, and the count it leaves grows with s, so the
+// largest I₀ an int can index bounds the number of levels Algorithm 2 can
+// record. It stays below maxLevels, so a death byte always suffices.
+func TestHierarchyRoundsFitDeathByte(t *testing.T) {
+	for _, tc := range []struct{ s, rounds int }{{1 << 20, 41}, {1 << 62, 142}, {math.MaxInt, 145}} {
+		s, rounds := tc.s, 0
+		for s >= 8 {
+			s -= s/2 - s/4
+			rounds++
+		}
+		if rounds != tc.rounds || rounds+1 > maxLevels {
+			t.Fatalf("|I₀| = %d: %d rounds, want %d and at most %d levels", tc.s, rounds, tc.rounds, maxLevels)
+		}
 	}
 }

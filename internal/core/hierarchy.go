@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/interval"
 	"repro/internal/sparse"
@@ -23,10 +24,32 @@ type Level struct {
 // I_0, I_1, …, I_L with geometrically decreasing sizes. For every k there is
 // a level with at most 8k pieces whose error is at most 2·opt_k
 // (Theorem 3.5).
+//
+// The levels are nested: a round merges adjacent pairs only, so every
+// level's right endpoints are a subset of the level above it. The hierarchy
+// therefore stores I₀'s right endpoints once, plus one byte per endpoint
+// (the first level without it), and builds a level's partition only when
+// one is asked for.
 type Hierarchy struct {
-	q      *sparse.Func
-	levels []Level
+	q *sparse.Func
+	// ends are I₀'s right endpoints. ends[i] ends a piece of level li
+	// exactly when death[i] > li; an endpoint of the final level holds
+	// alive.
+	ends  []int
+	death []uint8
+	// pieces and errs hold each level's piece count and flattening error.
+	pieces []int
+	errs   []float64
 }
+
+// alive is the death byte of an endpoint that every level keeps.
+const alive = math.MaxUint8
+
+// maxLevels is the most levels a death byte can tell apart: level indices
+// stay below alive. Algorithm 2 needs far fewer: a round over s ≥ 8
+// intervals merges at least ⌊s/2⌋ − ⌊s/4⌋ pairs, so even an I₀ of 2^62
+// intervals is done after 142 rounds (TestHierarchyRoundsFitDeathByte).
+const maxLevels = alive
 
 // ConstructHierarchicalHistogram is Algorithm 2 (Section 3.4): starting from
 // the exact initial partition I₀, each round pairs consecutive intervals,
@@ -45,58 +68,149 @@ func ConstructHierarchicalHistogram(q *sparse.Func) *Hierarchy {
 // boundaries and the per-level error sums run serially in index order.
 func ConstructHierarchicalHistogramWorkers(q *sparse.Func, workers int) *Hierarchy {
 	m := newMergeState(q, workers)
-	h := &Hierarchy{q: q}
-	h.record(m)
+	h := &Hierarchy{q: q, ends: make([]int, m.len()), death: make([]uint8, m.len())}
+	// pos[j] is the I₀ index of the current level's j-th endpoint.
+	pos := make([]int, m.len())
+	for i, nd := range m.nodes {
+		h.ends[i], h.death[i], pos[i] = nd.Hi, alive, i
+	}
+	h.addLevel(m.nodes)
 	for m.len() >= 8 {
-		keep := m.len() / 4
-		m.pairRound(keep)
-		h.record(m)
+		m.splits = grow(m.splits, m.len()/2)
+		m.pairRound(m.len() / 4)
+		h.recordRound(m, pos)
+		pos = pos[:m.len()]
 	}
 	return h
 }
 
-func (h *Hierarchy) record(m *mergeState) {
-	p := make(interval.Partition, len(m.nodes))
-	sse := flatten(m.nodes, p, nil)
-	h.levels = append(h.levels, Level{Partition: p, Error: math.Sqrt(sse)})
+// addLevel records a level's piece count and flattening error, summed in
+// index order as flatten sums it.
+func (h *Hierarchy) addLevel(nodes []sparse.Node) {
+	var sse float64
+	prevHi := 0
+	for _, nd := range nodes {
+		sse += nd.Stat(prevHi).SSE()
+		prevHi = nd.Hi
+	}
+	h.pieces = append(h.pieces, len(nodes))
+	h.errs = append(h.errs, math.Sqrt(sse))
 }
 
-// Levels returns the recorded levels, finest (I₀, error 0) first.
-func (h *Hierarchy) Levels() []Level { return h.levels }
+// recordRound records the level m.nodes that a pair round made from the
+// level above it, whose endpoints' I₀ indices are pos. The round's write
+// pass left each pair's outcome in m.splits: a merged pair's first
+// endpoint dies at this level. The walk selects rather than branches, as
+// about half the pairs merge, and compacts pos in place.
+func (h *Hierarchy) recordRound(m *mergeState, pos []int) {
+	li := uint8(len(h.pieces))
+	death := h.death
+	o := 0
+	for u, split := range m.splits {
+		first := pos[2*u]
+		death[first] = alive - (1-split)*(alive-li)
+		pos[o] = first
+		o += int(split)
+		pos[o] = pos[2*u+1]
+		o++
+	}
+	if len(pos)%2 == 1 { // the trailing unpaired endpoint, carried over
+		pos[o] = pos[len(pos)-1]
+	}
+	h.addLevel(m.nodes)
+}
+
+// eachLevel calls f with every level's right endpoints, finest first, in a
+// buffer f must not keep. It filters one copy of I₀'s endpoints down level
+// by level, so a walk over every level costs O(total pieces).
+func (h *Hierarchy) eachLevel(f func(li int, ends []int)) {
+	ends, death := slices.Clone(h.ends), slices.Clone(h.death)
+	for li := range h.pieces {
+		if li > 0 {
+			j := 0
+			for i, d := range death {
+				ends[j], death[j] = ends[i], d
+				if int(d) > li {
+					j++
+				}
+			}
+			ends, death = ends[:j], death[:j]
+		}
+		f(li, ends)
+	}
+}
+
+// partition builds level li's partition from the endpoints alive at it.
+// Every endpoint is written at the next free slot, which advances only
+// past a live one, so the scan has no branch around its store; the spare
+// slot takes the writes after n.
+func (h *Hierarchy) partition(li int) interval.Partition {
+	p := make(interval.Partition, h.pieces[li]+1)
+	j, lo := 0, 1
+	for i, d := range h.death {
+		hi := h.ends[i]
+		p[j] = interval.Interval{Lo: lo, Hi: hi}
+		if int(d) > li {
+			lo = hi + 1
+			j++
+		}
+	}
+	return p[:j]
+}
+
+// Levels builds every level, finest (I₀, error 0) first. Each call costs
+// O(total pieces) time and memory, since the hierarchy keeps I₀ and the
+// death rounds rather than the partitions; ForK builds only the level it
+// serves, and LevelFor, ErrorEstimate, ParetoCurve and NumLevels build none.
+func (h *Hierarchy) Levels() []Level {
+	levels := make([]Level, len(h.pieces))
+	h.eachLevel(func(li int, ends []int) {
+		p := make(interval.Partition, len(ends))
+		lo := 1
+		for i, hi := range ends {
+			p[i] = interval.Interval{Lo: lo, Hi: hi}
+			lo = hi + 1
+		}
+		levels[li] = Level{Partition: p, Error: h.errs[li]}
+	})
+	return levels
+}
 
 // NumLevels returns the number of recorded levels.
-func (h *Hierarchy) NumLevels() int { return len(h.levels) }
+func (h *Hierarchy) NumLevels() int { return len(h.pieces) }
 
-// levelFor returns the index of the level ForK(k) serves — the first whose
-// partition has at most 8k pieces (the final level, with at most 7 pieces,
-// always qualifies). It returns an error if k < 1. The test is written
-// ⌈pieces/8⌉ ≤ k because 8k overflows int for k ≥ 2^60.
-func (h *Hierarchy) levelFor(k int) (int, error) {
+// LevelFor returns the index of the level ForK(k) serves — the first with
+// at most 8k pieces (the final level, with at most 7 pieces, always
+// qualifies) — from the stored piece counts, without building a partition.
+// It returns an error if k < 1. The test is written ⌈pieces/8⌉ ≤ k because
+// 8k overflows int for k ≥ 2^60.
+func (h *Hierarchy) LevelFor(k int) (int, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("core: k must be ≥ 1, got %d", k)
 	}
-	for li, lv := range h.levels {
-		if (len(lv.Partition)+7)/8 <= k {
+	for li, pieces := range h.pieces {
+		if (pieces+7)/8 <= k {
 			return li, nil
 		}
 	}
 	// Unreachable: the final level always has at most 7 pieces ≤ 8k.
-	return len(h.levels) - 1, nil
+	return len(h.pieces) - 1, nil
 }
 
 // ForK returns the result for a target piece count k: the first level whose
 // partition has at most 8k pieces, flattened into a histogram. By
 // Theorem 3.5 its error is at most 2·opt_k. It returns an error if k < 1.
+// Building the level reads every death byte, O(|I₀|).
 func (h *Hierarchy) ForK(k int) (Result, error) {
-	li, err := h.levelFor(k)
+	li, err := h.LevelFor(k)
 	if err != nil {
 		return Result{}, err
 	}
-	lv := h.levels[li]
+	p := h.partition(li)
 	return Result{
-		Partition: lv.Partition,
-		Histogram: FlattenHistogram(h.q, lv.Partition),
-		Error:     lv.Error,
+		Partition: p,
+		Histogram: FlattenHistogram(h.q, p),
+		Error:     h.errs[li],
 		Rounds:    li,
 	}, nil
 }
@@ -105,11 +219,11 @@ func (h *Hierarchy) ForK(k int) (Result, error) {
 // the exact flattening error at the level ForK(k) would select, read off
 // the level record without flattening.
 func (h *Hierarchy) ErrorEstimate(k int) (float64, error) {
-	li, err := h.levelFor(k)
+	li, err := h.LevelFor(k)
 	if err != nil {
 		return 0, err
 	}
-	return h.levels[li].Error, nil
+	return h.errs[li], nil
 }
 
 // ParetoCurve returns, for every k in ks, the pair (pieces, error) of the
@@ -120,12 +234,12 @@ func (h *Hierarchy) ParetoCurve(ks []int) ([]int, []float64, error) {
 	pieces := make([]int, len(ks))
 	errs := make([]float64, len(ks))
 	for i, k := range ks {
-		li, err := h.levelFor(k)
+		li, err := h.LevelFor(k)
 		if err != nil {
 			return nil, nil, err
 		}
-		pieces[i] = len(h.levels[li].Partition)
-		errs[i] = h.levels[li].Error
+		pieces[i] = h.pieces[li]
+		errs[i] = h.errs[li]
 	}
 	return pieces, errs, nil
 }

@@ -55,7 +55,7 @@ func DecodePayload(r *codec.Reader) (*PiecewiseFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	ends, err := r.DeltaInts()
+	ends, err := r.DeltaInts(nil)
 	if err != nil {
 		return nil, err
 	}

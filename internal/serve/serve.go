@@ -449,17 +449,12 @@ type hierServed struct {
 
 func (*hierServed) kind() string { return "hierarchy" }
 
-// levelIndex mirrors ForK's level selection (first level with ≤ 8k pieces,
-// else the last) without paying for the flatten. Like ForK it compares
-// ⌈pieces/8⌉ with k, since 8k overflows int for k ≥ 2^60.
+// levelIndex is the level ForK(k) serves, for a k ≥ 1 that resolve has
+// checked. LevelFor reads the stored piece counts, so it builds nothing on
+// the request path.
 func (s *hierServed) levelIndex(k int) int {
-	levels := s.hier.Levels()
-	for li, lv := range levels {
-		if (len(lv.Partition)+7)/8 <= k {
-			return li
-		}
-	}
-	return len(levels) - 1
+	li, _ := s.hier.LevelFor(k)
+	return li
 }
 
 func (s *hierServed) resolve(k int) (*core.Histogram, error) {

@@ -56,6 +56,27 @@ func New(n int, entries []Entry) (*Func, error) {
 	return &Func{n: n, entries: es}, nil
 }
 
+// FromSorted builds a sparse function over [1, n] from entries already in
+// Func's form: indices strictly increasing inside [1, n], values nonzero.
+// It checks that in one pass and keeps the slice, with no copy and no sort;
+// a decoder whose wire format orders the indices hands them over this way.
+func FromSorted(n int, entries []Entry) (*Func, error) {
+	if n < 1 {
+		return nil, errors.New("sparse: domain size must be ≥ 1")
+	}
+	prev := 0
+	for _, e := range entries {
+		if e.Index <= prev || e.Index > n {
+			return nil, fmt.Errorf("sparse: index %d out of order or out of [1, %d]", e.Index, n)
+		}
+		if e.Value == 0 {
+			return nil, fmt.Errorf("sparse: zero value at index %d", e.Index)
+		}
+		prev = e.Index
+	}
+	return &Func{n: n, entries: entries}, nil
+}
+
 // FromDense converts a dense vector (q[0] is the value at point 1) to its
 // sparse representation, dropping exact zeros (−0 too; NaN is kept).
 // Every point is stored at the next free slot, which advances only past a

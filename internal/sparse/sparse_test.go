@@ -39,6 +39,33 @@ func TestNewSortsAndDropsZeros(t *testing.T) {
 	}
 }
 
+// TestFromSortedValidation: FromSorted refuses everything New would sort,
+// drop or refuse, and keeps a valid slice as given.
+func TestFromSortedValidation(t *testing.T) {
+	for name, es := range map[string][]Entry{
+		"index 0":      {{Index: 0, Value: 1}},
+		"index past n": {{Index: 6, Value: 1}},
+		"unsorted":     {{Index: 3, Value: 1}, {Index: 2, Value: 1}},
+		"duplicate":    {{Index: 2, Value: 1}, {Index: 2, Value: 1}},
+		"zero value":   {{Index: 2, Value: 0}},
+	} {
+		if _, err := FromSorted(5, es); err == nil {
+			t.Fatalf("%s: accepted %v", name, es)
+		}
+	}
+	if _, err := FromSorted(0, nil); err == nil {
+		t.Fatal("n=0 should error")
+	}
+	es := []Entry{{Index: 1, Value: -2}, {Index: 5, Value: math.NaN()}}
+	f, err := FromSorted(5, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &f.Entries()[0] != &es[0] || f.N() != 5 {
+		t.Fatal("FromSorted did not keep the entries as given")
+	}
+}
+
 func TestFromDenseRoundTrip(t *testing.T) {
 	q := []float64{0, 1.5, 0, 0, -2, 3, 0}
 	f := FromDense(q)

@@ -223,7 +223,7 @@ func appendState(dst []byte, st *maintainerState) []byte {
 // decodePieces reads a piece list and validates it as a partition of [1, n]
 // with one value per piece.
 func decodePieces(src codec.Source, n int) (interval.Partition, []float64, error) {
-	ends, err := src.DeltaInts()
+	ends, err := src.DeltaInts(nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -439,9 +439,11 @@ func (m *Maintainer) materialize() *core.Histogram {
 
 // Summary returns the current O(k)-piece summary, compacting pending
 // buffered updates first and re-merging a lazily expanded view down to the
-// merging target, so the result always carries the full √(1+δ)·opt
-// guarantee at O(k) pieces. The returned histogram is immutable and remains
-// valid (and correct for the stream seen so far) after further updates.
+// merging target. That last merge carries the √(1+δ)·opt guarantee against
+// its own input, the summarized stream: the previous view plus the pending
+// updates. It is no guarantee against the raw stream, because every earlier
+// compaction flattened part of it and their errors add up. The returned
+// histogram is immutable and remains valid after further updates.
 func (m *Maintainer) Summary() (*core.Histogram, error) {
 	if m.win != nil {
 		// A windowed maintainer's plain summary covers every retained epoch,

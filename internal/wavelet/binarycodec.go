@@ -35,7 +35,7 @@ func DecodePayload(r *codec.Reader) (*Synopsis, error) {
 	if n < 1 || pn < n || pn&(pn-1) != 0 || (pn > 1 && pn/2 >= n) {
 		return nil, fmt.Errorf("wavelet: padded length %d invalid for original length %d", pn, n)
 	}
-	indices, err := r.DeltaInts()
+	indices, err := r.DeltaInts(nil)
 	if err != nil {
 		return nil, err
 	}
