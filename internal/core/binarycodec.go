@@ -133,19 +133,14 @@ func EncodeSparsePayload(w *codec.Writer, q *sparse.Func) {
 	w.PackedFloat64s(values)
 }
 
-// DecodeSparsePayload reads and validates a sparse function payload:
-// indices strictly increasing inside [1, n], values finite and nonzero (a
-// zero would be silently dropped by sparse.New, breaking the
+// decodeSparse reads and validates a sparse function payload: indices
+// strictly increasing inside [1, n], values finite and nonzero (a zero
+// would be silently dropped by sparse.New, breaking the
 // encode→decode→encode bit-identity contract). The delta encoding already
 // orders the indices, so the entries are handed to sparse.FromSorted, which
-// checks them in one pass and keeps them without a copy or a sort.
-func DecodeSparsePayload(r *codec.Reader) (*sparse.Func, error) {
-	q, _, err := decodeSparse(r)
-	return q, err
-}
-
-// decodeSparse is DecodeSparsePayload, also handing back the buffer the
-// indices were read into, which the caller may reuse.
+// checks them in one pass and keeps them without a copy or a sort. It also
+// hands back the buffer the indices were read into, which the caller may
+// reuse.
 func decodeSparse(r *codec.Reader) (*sparse.Func, []int, error) {
 	n, err := r.Int()
 	if err != nil {
@@ -193,9 +188,10 @@ func EncodeHierarchyPayload(w *codec.Writer, h *Hierarchy) {
 // (what makes ForK total), and non-negative finite errors.
 //
 // Level 0 becomes the hierarchy's I₀ endpoints. Every later level is read
-// into one reused buffer and folded into death rounds in one pass over the
-// level above it, and the fold is the nesting check: it fails unless the
-// level's endpoints are a subset of the previous level's that keeps n.
+// into one reused buffer and recorded in the death bytes by fold, as
+// construction records each round, in one pass over the level above it;
+// the fold is also the nesting check: it fails unless the level's
+// endpoints are a subset of the previous level's that keeps n.
 func DecodeHierarchyPayload(r *codec.Reader) (*Hierarchy, error) {
 	// The input's index buffer becomes the levels' read buffer, vals.
 	q, vals, err := decodeSparse(r)
@@ -220,12 +216,7 @@ func DecodeHierarchyPayload(r *codec.Reader) (*Hierarchy, error) {
 	if len(ends) == 0 || ends[0] < 1 || ends[len(ends)-1] != n {
 		return nil, fmt.Errorf("core: hierarchy level 0 is not a partition of [1, %d]", n)
 	}
-	h := &Hierarchy{q: q, ends: ends, death: make([]uint8, len(ends))}
-	// pos[j] is the I₀ index of the last folded level's j-th endpoint.
-	pos := make([]int, len(ends))
-	for i := range pos {
-		h.death[i], pos[i] = alive, i
-	}
+	h, pos := newHierarchy(q, ends)
 	if err := h.readLevelError(r, len(ends)); err != nil {
 		return nil, err
 	}
@@ -237,10 +228,10 @@ func DecodeHierarchyPayload(r *codec.Reader) (*Hierarchy, error) {
 			return nil, fmt.Errorf("core: hierarchy level %d has %d pieces, not fewer than the %d above it",
 				li, len(vals), len(pos))
 		}
-		if !h.fold(uint8(li), pos, vals) {
+		var ok bool
+		if pos, ok = h.fold(uint8(li), pos, vals); !ok {
 			return nil, fmt.Errorf("core: hierarchy level %d is not a coarsening of level %d", li, li-1)
 		}
-		pos = pos[:len(vals)]
 		if err := h.readLevelError(r, len(vals)); err != nil {
 			return nil, err
 		}
@@ -249,27 +240,6 @@ func DecodeHierarchyPayload(r *codec.Reader) (*Hierarchy, error) {
 		return nil, fmt.Errorf("core: final hierarchy level has %d pieces, want < 8", last)
 	}
 	return h, nil
-}
-
-// fold records level li, whose right endpoints are vals, in the death
-// bytes: an endpoint of the level above, whose I₀ indices are pos, dies at
-// li when vals lacks it. pos is compacted in place to level li's indices.
-// fold reports whether vals is a subset of the level above that keeps n,
-// the last endpoint of every level.
-func (h *Hierarchy) fold(li uint8, pos, vals []int) bool {
-	j := 0
-	for _, p := range pos {
-		if j < len(vals) && vals[j] <= h.ends[p] {
-			if vals[j] < h.ends[p] {
-				return false // not an endpoint of the level above
-			}
-			pos[j] = p
-			j++
-			continue
-		}
-		h.death[p] = li
-	}
-	return j == len(vals) && h.death[len(h.death)-1] == alive
 }
 
 // readLevelError reads the next level's error, which must be finite and
@@ -282,8 +252,7 @@ func (h *Hierarchy) readLevelError(r *codec.Reader, pieces int) error {
 	if e < 0 {
 		return fmt.Errorf("core: hierarchy level %d has negative error %v", len(h.pieces), e)
 	}
-	h.pieces = append(h.pieces, pieces)
-	h.errs = append(h.errs, e)
+	h.addLevel(pieces, e)
 	return nil
 }
 

@@ -68,56 +68,84 @@ func ConstructHierarchicalHistogram(q *sparse.Func) *Hierarchy {
 // boundaries and the per-level error sums run serially in index order.
 func ConstructHierarchicalHistogramWorkers(q *sparse.Func, workers int) *Hierarchy {
 	m := newMergeState(q, workers)
-	h := &Hierarchy{q: q, ends: make([]int, m.len()), death: make([]uint8, m.len())}
-	// pos[j] is the I₀ index of the current level's j-th endpoint.
-	pos := make([]int, m.len())
-	for i, nd := range m.nodes {
-		h.ends[i], h.death[i], pos[i] = nd.Hi, alive, i
-	}
-	h.addLevel(m.nodes)
+	e, ends := levelOf(m.nodes, nil)
+	h, pos := newHierarchy(q, ends)
+	h.addLevel(len(ends), e)
+	var his []int // each later level's right endpoints, in one reused buffer
 	for m.len() >= 8 {
-		m.splits = grow(m.splits, m.len()/2)
 		m.pairRound(m.len() / 4)
-		h.recordRound(m, pos)
-		pos = pos[:m.len()]
+		e, his = levelOf(m.nodes, his)
+		var ok bool
+		if pos, ok = h.fold(uint8(len(h.pieces)), pos, his); !ok {
+			panic("core: a merging round made a level not nested in the one above it")
+		}
+		h.addLevel(len(his), e)
 	}
 	return h
 }
 
-// addLevel records a level's piece count and flattening error, summed in
-// index order as flatten sums it.
-func (h *Hierarchy) addLevel(nodes []sparse.Node) {
+// levelOf returns the flattening error of the level nodes, summed in
+// index order as flatten sums it, and their right endpoints, written into
+// his, which is reallocated only when too short.
+func levelOf(nodes []sparse.Node, his []int) (float64, []int) {
+	his = grow(his, len(nodes))
 	var sse float64
 	prevHi := 0
-	for _, nd := range nodes {
+	for i, nd := range nodes {
 		sse += nd.Stat(prevHi).SSE()
 		prevHi = nd.Hi
+		his[i] = nd.Hi
 	}
-	h.pieces = append(h.pieces, len(nodes))
-	h.errs = append(h.errs, math.Sqrt(sse))
+	return math.Sqrt(sse), his
 }
 
-// recordRound records the level m.nodes that a pair round made from the
-// level above it, whose endpoints' I₀ indices are pos. The round's write
-// pass left each pair's outcome in m.splits: a merged pair's first
-// endpoint dies at this level. The walk selects rather than branches, as
-// about half the pairs merge, and compacts pos in place.
-func (h *Hierarchy) recordRound(m *mergeState, pos []int) {
-	li := uint8(len(h.pieces))
-	death := h.death
-	o := 0
-	for u, split := range m.splits {
-		first := pos[2*u]
-		death[first] = alive - (1-split)*(alive-li)
-		pos[o] = first
-		o += int(split)
-		pos[o] = pos[2*u+1]
-		o++
+// newHierarchy starts a hierarchy over q whose I₀ has right endpoints ends,
+// all alive, and returns the I₀ position of each of them, which fold
+// compacts level by level.
+func newHierarchy(q *sparse.Func, ends []int) (*Hierarchy, []int) {
+	h := &Hierarchy{q: q, ends: ends, death: make([]uint8, len(ends))}
+	pos := make([]int, len(ends))
+	for i := range pos {
+		h.death[i], pos[i] = alive, i
 	}
-	if len(pos)%2 == 1 { // the trailing unpaired endpoint, carried over
-		pos[o] = pos[len(pos)-1]
+	return h, pos
+}
+
+// addLevel records the next level's piece count and flattening error.
+func (h *Hierarchy) addLevel(pieces int, err float64) {
+	h.pieces = append(h.pieces, pieces)
+	h.errs = append(h.errs, err)
+}
+
+// fold records level li, whose right endpoints are vals, in the death
+// bytes: an endpoint of the level above, whose I₀ positions are pos, dies
+// at li when vals lacks it. It compacts pos in place to level li's
+// positions and returns them, with whether vals is a subset of the level
+// above that keeps its last endpoint, n. Construction and decode both
+// record a level through fold; only decode can fail it.
+//
+// About half the endpoints die, so the walk selects rather than branches:
+// every endpoint is written at the next free slot, which advances only
+// past a kept one. A value of vals that the level above lacks is never
+// matched, so j falls short of len(vals); past the last value, the walk
+// compares with the last one again and matches nothing.
+func (h *Hierarchy) fold(li uint8, pos, vals []int) ([]int, bool) {
+	if len(vals) == 0 {
+		return nil, false
 	}
-	h.addLevel(m.nodes)
+	ends := h.ends
+	death := h.death[:len(ends)]
+	last, j := len(vals)-1, 0
+	for _, p := range pos {
+		kept := 0
+		if vals[min(j, last)] == ends[p] {
+			kept = 1
+		}
+		death[p] = li | uint8(-kept) // li, or alive when kept
+		pos[j] = p
+		j += kept
+	}
+	return pos[:j], j == len(vals) && death[len(death)-1] == alive
 }
 
 // eachLevel calls f with every level's right endpoints, finest first, in a
@@ -142,10 +170,9 @@ func (h *Hierarchy) eachLevel(f func(li int, ends []int)) {
 
 // partition builds level li's partition from the endpoints alive at it.
 // Every endpoint is written at the next free slot, which advances only
-// past a live one, so the scan has no branch around its store; the spare
-// slot takes the writes after n.
+// past a live one, so the scan has no branch around its store.
 func (h *Hierarchy) partition(li int) interval.Partition {
-	p := make(interval.Partition, h.pieces[li]+1)
+	p := make(interval.Partition, h.pieces[li])
 	j, lo := 0, 1
 	for i, d := range h.death {
 		hi := h.ends[i]
@@ -155,7 +182,7 @@ func (h *Hierarchy) partition(li int) interval.Partition {
 			j++
 		}
 	}
-	return p[:j]
+	return p
 }
 
 // Levels builds every level, finest (I₀, error 0) first. Each call costs

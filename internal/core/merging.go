@@ -138,15 +138,8 @@ type mergeState struct {
 	// a fresh closure per round would escape into the worker goroutines
 	// and put an allocation back on the per-round path.
 	fnPairErrs, fnPairOff, fnPairWrite    func(ci, lo, hi int)
-	fnPairWriteSplits                     func(ci, lo, hi int)
 	fnGroupErrs, fnGroupLen, fnGroupWrite func(ci, lo, hi int)
 	fnCount                               func(ci, lo, hi int)
-
-	// splits, when non-nil, receives each pair's outcome from the pair
-	// write pass (fnPairWriteSplits): 1 if the pair stayed split, 0 if it
-	// merged. Only Algorithm 2 sets it, sized to the round's pairs, to see
-	// which endpoints each round removes.
-	splits []uint8
 }
 
 func newMergeState(q *sparse.Func, workers int) *mergeState {
@@ -210,29 +203,6 @@ func (m *mergeState) initPasses() {
 			} else {
 				m.next[o] = m.nodes[2*u].Merge(m.nodes[2*u+1])
 				o++
-			}
-		}
-	}
-	// fnPairWriteSplits is fnPairWrite that also records each outcome in
-	// m.splits. It is a copy rather than a branch inside fnPairWrite, so
-	// that Algorithm 1's rounds run the same code as without it.
-	m.fnPairWriteSplits = func(ci, lo, hi int) {
-		o := m.chunkOff[ci]
-		tieLeft := m.chunkTieUse[ci]
-		for u := lo; u < hi; u++ {
-			e := m.errs[u]
-			tie := e == m.cut && tieLeft > 0
-			if e > m.cut || tie {
-				if tie {
-					tieLeft--
-				}
-				m.next[o], m.next[o+1] = m.nodes[2*u], m.nodes[2*u+1]
-				o += 2
-				m.splits[u] = 1
-			} else {
-				m.next[o] = m.nodes[2*u].Merge(m.nodes[2*u+1])
-				o++
-				m.splits[u] = 0
 			}
 		}
 	}
@@ -377,11 +347,7 @@ func (m *mergeState) pairRound(keep int) int {
 	}
 	m.next = grow(m.next, outLen)
 
-	write := m.fnPairWrite
-	if m.splits != nil {
-		write = m.fnPairWriteSplits
-	}
-	parallel.ForChunks(w, pairs, nc, write)
+	parallel.ForChunks(w, pairs, nc, m.fnPairWrite)
 	if carry { // trailing unpaired interval
 		m.next[outLen-1] = m.nodes[s-1]
 	}

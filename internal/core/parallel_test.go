@@ -221,13 +221,15 @@ func TestParallelEquivalenceHierarchy(t *testing.T) {
 	for name, q := range equivFixtures() {
 		sf := sparse.FromDense(q)
 		serial := ConstructHierarchicalHistogramWorkers(sf, 1)
+		serialLevels := serial.Levels()
 		for _, w := range equivalenceWorkers[1:] {
 			par := ConstructHierarchicalHistogramWorkers(sf, w)
 			if serial.NumLevels() != par.NumLevels() {
 				t.Fatalf("%s workers=%d: %d vs %d levels", name, w, par.NumLevels(), serial.NumLevels())
 			}
-			for li := range serial.Levels() {
-				ls, lp := serial.Levels()[li], par.Levels()[li]
+			parLevels := par.Levels()
+			for li := range serialLevels {
+				ls, lp := serialLevels[li], parLevels[li]
 				if math.Float64bits(ls.Error) != math.Float64bits(lp.Error) {
 					t.Fatalf("%s workers=%d level %d: error %v vs %v", name, w, li, lp.Error, ls.Error)
 				}
