@@ -13,7 +13,7 @@ import (
 // payload encoders for the two core synopsis types, plus the io.WriterTo /
 // io.ReaderFrom envelope methods built on them. The payload functions are
 // exported so composite types in other packages (quantile.CDF, the synopsis
-// estimators, the stream checkpoints) can embed a histogram in their own
+// estimators, the serving layer) can embed a histogram in their own
 // payloads without nesting a second envelope.
 
 // Validate checks the option parameters the way every construction entry
