@@ -97,8 +97,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // O(k) with k orders of magnitude below this.
 const maxElems = 1 << 28
 
-// MaxInt is the largest value Int decodes, 2^62 − 1: a configuration field
-// an engine checkpoints through Int must not exceed it.
+// MaxInt is the largest value Int decodes, and the largest start and gap
+// DeltaInts decodes, 2^62 − 1: a configuration field an engine checkpoints
+// through Int must not exceed it.
 const MaxInt = math.MaxInt64 / 2
 
 // ErrChecksum is returned by Reader.Close when the footer CRC does not match

@@ -82,6 +82,8 @@ func TestDeltaIntsRoundTrip(t *testing.T) {
 		{1},
 		{-5, 0, 3},
 		{1, 2, 3, 1000, 1_000_000},
+		{1, 600, MaxInt},
+		{-MaxInt, 0, MaxInt},
 	}
 	for _, want := range seqs {
 		r, _ := roundTrip(t, TagHistogram, func(w *Writer) { w.DeltaInts(want) })
@@ -99,6 +101,17 @@ func TestDeltaIntsRoundTrip(t *testing.T) {
 		}
 		if err := r.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
+// TestDeltaIntsRefusesPastMaxInt: a start or a gap above MaxInt is refused,
+// as Int refuses such a value.
+func TestDeltaIntsRefusesPastMaxInt(t *testing.T) {
+	for _, xs := range [][]int{{MaxInt + 1}, {-MaxInt - 1, 0}, {0, MaxInt + 1}} {
+		r, _ := roundTrip(t, TagHistogram, func(w *Writer) { w.DeltaInts(xs) })
+		if got, err := r.DeltaInts(nil); err == nil {
+			t.Fatalf("DeltaInts(%v) decoded as %v", xs, got)
 		}
 	}
 }

@@ -253,17 +253,17 @@ func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 	if cap(dst) < k {
 		xs = make([]int, 0, min(k, c.avail()))
 	}
-	// Elements are bounded well below overflow (but far above any length
-	// bound: boundary values range over the domain size, which can be
-	// billions) so the accumulation below cannot wrap undetected.
-	const maxElem = 1 << 48
+	// The start and every gap are bounded by MaxInt, as Int values are: a
+	// partition of any domain an engine accepts, [1, n] with n ≤ MaxInt,
+	// has right endpoints within that bound, and the overflow check below
+	// catches an accumulation that wraps.
 	if k > 0 {
 		// need above already read ahead what the sequence promised.
 		v, err := c.Varint()
 		if err != nil {
 			return nil, err
 		}
-		if v < -maxElem || v > maxElem {
+		if v < -MaxInt || v > MaxInt {
 			return nil, fmt.Errorf("codec: sequence start %d out of range", v)
 		}
 		xs = append(xs, int(v))
@@ -273,7 +273,7 @@ func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if gap == 0 || gap > maxElem {
+		if gap == 0 || gap > MaxInt {
 			return nil, fmt.Errorf("codec: bad sequence gap %d", gap)
 		}
 		next := xs[i-1] + int(gap)

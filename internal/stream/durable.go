@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,18 +30,21 @@ import (
 // trigger and the ticker skip their turn while one runs, and Checkpoint and
 // Close wait for it.
 //
-// Recovery restores the manifest's snapshot, NORMALIZES the restored
-// pending logs (below), replays the WAL tail through the ordinary ingest
-// path, and cuts a fresh checkpoint. Normalization is what makes recovery
-// bit-identical: stream.Checkpoint demotes an in-flight compaction's log
-// back to pending, so a restored shard can hold more than one compaction
-// period of pending updates; folding prefix chunks of exactly bufCap
-// re-aligns the compaction boundaries with the ones the uninterrupted run
-// used, and compaction grouping is the only thing floating-point results
-// are sensitive to. With a single producer the recovered engine's
-// summaries, compaction counters, and EstimateRange answers are therefore
-// bit-identical to an uninterrupted run over the same prefix — the
-// property the crash tests assert.
+// Recovery is one pass of wal.Open over the log: it restores the manifest's
+// snapshot, NORMALIZES the restored pending logs (below), and replays each
+// record past the checkpoint through the ordinary ingest path as the log is
+// read, so every record is decoded once. It then cuts a fresh checkpoint. A
+// recovery that fails on the snapshot or on a record discards the half-built
+// engine and leaves the directory as it was. Normalization is what makes
+// recovery bit-identical: stream.Checkpoint demotes an in-flight
+// compaction's log back to pending, so a restored shard can hold more than
+// one compaction period of pending updates; folding prefix chunks of
+// exactly bufCap re-aligns the compaction boundaries with the ones the
+// uninterrupted run used, and compaction grouping is the only thing
+// floating-point results are sensitive to. With a single producer the
+// recovered engine's summaries, compaction counters, and EstimateRange
+// answers are therefore bit-identical to an uninterrupted run over the same
+// prefix — the property the crash tests assert.
 
 // DurableOptions tunes the durability layer.
 type DurableOptions struct {
@@ -154,32 +156,21 @@ func NewDurableSharded(n, k, shards, bufferCap int, copts core.Options, opts Dur
 	return newDurableSharded(s, l, opts, 0), nil
 }
 
-// RecoverDurableSharded reopens the WAL in opts.Dir: it restores the
-// manifest's snapshot, re-aligns compaction cadence, replays the log tail
-// through the ordinary ingest path, and commits a fresh checkpoint so the
-// next restart replays nothing.
+// RecoverDurableSharded reopens the WAL in opts.Dir in one pass of
+// wal.Open: it restores the manifest's snapshot, re-aligns compaction
+// cadence, and replays each logged record past the checkpoint through the
+// ordinary ingest path as the log is read. It then commits a fresh
+// checkpoint so the next restart replays nothing.
 func RecoverDurableSharded(opts DurableOptions) (*DurableSharded, error) {
-	l, info, err := wal.Open(opts.Dir, opts.walOptions())
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(info.SnapshotPath)
-	if err != nil {
-		l.Close()
-		return nil, err
-	}
-	s, err := RestoreSharded(f)
-	f.Close()
-	if err != nil {
-		l.Close()
-		return nil, fmt.Errorf("stream: restoring durable snapshot: %w", err)
-	}
-	if err := normalizeRestoredCadence(s); err != nil {
-		l.Close()
-		return nil, err
-	}
+	var s *Sharded
 	replayed := 0
-	err = l.Replay(info.SnapshotSeq, func(r wal.Record) error {
+	l, _, err := wal.Open(opts.Dir, opts.walOptions(), func(r io.Reader) error {
+		var err error
+		if s, err = RestoreSharded(r); err != nil {
+			return err
+		}
+		return normalizeRestoredCadence(s)
+	}, func(r wal.Record) error {
 		replayed++
 		// An empty record is an epoch-boundary marker (only Advance logs
 		// one: ingest calls early-return on empty batches before logging).
@@ -189,8 +180,7 @@ func RecoverDurableSharded(opts DurableOptions) (*DurableSharded, error) {
 		return s.AddBatch(r.Points, r.Weights)
 	})
 	if err != nil {
-		l.Close()
-		return nil, fmt.Errorf("stream: replaying WAL record %d: %w", replayed, err)
+		return nil, err
 	}
 	d := newDurableSharded(s, l, opts, replayed)
 	// Fold the replayed tail into a fresh checkpoint immediately: repeated

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/sparse"
 )
@@ -277,10 +278,10 @@ func TestEstimateRangesOverMatchesPerRangeOracle(t *testing.T) {
 	}
 }
 
-// TestEstimateRangesOverAtDomainTop pins ranges ending at n = math.MaxInt,
-// where the exclusive endpoint b+1 no longer fits in an int.
+// TestEstimateRangesOverAtDomainTop pins ranges ending at n = codec.MaxInt,
+// the largest domain an engine accepts.
 func TestEstimateRangesOverAtDomainTop(t *testing.T) {
-	const n = math.MaxInt
+	const n = codec.MaxInt
 	s, err := NewSharded(n, 4, 2, 64, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

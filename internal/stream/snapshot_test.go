@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/codec"
@@ -288,22 +290,24 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestConstructorsRejectUncheckpointableConfig: a checkpoint carries k and
-// the buffer capacity under codec.MaxInt, so every constructor refuses a
-// larger one instead of building an engine whose snapshot cannot restore.
+// TestConstructorsRejectUncheckpointableConfig: a checkpoint carries n, k
+// and the buffer capacity under codec.MaxInt, so every constructor refuses a
+// larger one instead of building an engine whose snapshot cannot restore,
+// and the durable constructor refuses before it creates its WAL directory.
 func TestConstructorsRejectUncheckpointableConfig(t *testing.T) {
-	const n, k = 600, codec.MaxInt + 1
+	const n, big = 600, codec.MaxInt + 1
 	opts := core.DefaultOptions()
-	constructors := map[string]func(k, bufferCap int) error{
-		"NewMaintainer": func(k, c int) error { _, err := NewMaintainer(n, k, c, opts); return err },
-		"NewSharded":    func(k, c int) error { _, err := NewSharded(n, k, 2, c, opts); return err },
-		"NewWindowedMaintainer": func(k, c int) error {
+	dir := filepath.Join(t.TempDir(), "wal")
+	constructors := map[string]func(n, k, bufferCap int) error{
+		"NewMaintainer": func(n, k, c int) error { _, err := NewMaintainer(n, k, c, opts); return err },
+		"NewSharded":    func(n, k, c int) error { _, err := NewSharded(n, k, 2, c, opts); return err },
+		"NewWindowedMaintainer": func(n, k, c int) error {
 			_, err := NewWindowedMaintainer(n, k, 4, c, opts)
 			return err
 		},
-		"NewWindowedSharded": func(k, c int) error { _, err := NewWindowedSharded(n, k, 4, 2, c, opts); return err },
-		"NewDurableSharded": func(k, c int) error {
-			d, err := NewDurableSharded(n, k, 1, c, opts, DurableOptions{Dir: t.TempDir()})
+		"NewWindowedSharded": func(n, k, c int) error { _, err := NewWindowedSharded(n, k, 4, 2, c, opts); return err },
+		"NewDurableSharded": func(n, k, c int) error {
+			d, err := NewDurableSharded(n, k, 1, c, opts, DurableOptions{Dir: dir})
 			if err == nil {
 				d.Close()
 			}
@@ -311,19 +315,25 @@ func TestConstructorsRejectUncheckpointableConfig(t *testing.T) {
 		},
 	}
 	for name, build := range constructors {
-		if err := build(k, 64); err == nil {
+		if err := build(n, big, 64); err == nil {
 			t.Errorf("%s accepted k = 2^62", name)
 		}
-		if err := build(10, k); err == nil {
+		if err := build(n, 10, big); err == nil {
 			t.Errorf("%s accepted buffer capacity 2^62", name)
 		}
+		if err := build(big, 10, 64); err == nil {
+			t.Errorf("%s accepted n = 2^62", name)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a refused NewDurableSharded created its WAL directory: %v", err)
 	}
 }
 
 // TestLargestCheckpointableConfigRoundTrips: k = codec.MaxInt, a buffer
-// capacity of codec.MaxInt (a log that grows by append), and the default
-// buffer of a 2^61-point domain at that k snapshot and restore with their
-// pending updates intact.
+// capacity of codec.MaxInt (a log that grows by append), the default buffer
+// of a 2^61-point domain at that k, and the largest domain, n =
+// codec.MaxInt, snapshot and restore with their pending updates intact.
 func TestLargestCheckpointableConfigRoundTrips(t *testing.T) {
 	const n = 600
 	points, weights := streamFixture(n, 100, 77)
@@ -343,11 +353,15 @@ func TestLargestCheckpointableConfigRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	top, err := NewMaintainer(codec.MaxInt, 4, 64, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range []interface {
 		AddBatch([]int, []float64) error
 		Snapshot(io.Writer) error
 		EstimateRange(a, b int) (float64, error)
-	}{m, big, wide, s} {
+	}{m, big, wide, s, top} {
 		if err := e.AddBatch(points, weights); err != nil {
 			t.Fatal(err)
 		}
@@ -377,4 +391,50 @@ func TestLargestCheckpointableConfigRoundTrips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDurableAtDomainTopRecovers: a durable engine over the largest domain,
+// n = codec.MaxInt, recovers from its create-time checkpoint plus a logged
+// tail, and from a later checkpoint whose compacted summaries hold a piece
+// reaching the top, and answers as the live engine does both times.
+func TestDurableAtDomainTopRecovers(t *testing.T) {
+	const n, calls = codec.MaxInt, 40
+	dir := t.TempDir()
+	d, err := NewDurableSharded(n, 4, 2, 16, core.DefaultOptions(), DurableOptions{Dir: dir, SyncEvery: 1, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < calls; i++ {
+		if err := d.AddBatch([]int{n - i*i*1000, 1 + i}, []float64{float64(1 + i%3), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recoverCopy := func(label string, wantReplayed int) {
+		t.Helper()
+		rec, err := RecoverDurableSharded(DurableOptions{Dir: copyDir(t, dir), CheckpointEvery: -1})
+		if err != nil {
+			t.Fatalf("%s: recovering at n = codec.MaxInt: %v", label, err)
+		}
+		defer rec.Close()
+		if rec.Replayed() != wantReplayed {
+			t.Fatalf("%s: replayed %d records, want %d", label, rec.Replayed(), wantReplayed)
+		}
+		requireBitIdentical(t, label, rec.Engine(), d.Engine())
+		for _, r := range [][2]int{{1, n}, {n, n}, {n - 5000, n}, {n / 2, n - 1}} {
+			got, err1 := rec.EstimateRange(r[0], r[1])
+			want, err2 := d.EstimateRange(r[0], r[1])
+			if err1 != nil || err2 != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: EstimateRange(%d, %d) = %v, %v after recovery, want %v, %v", label, r[0], r[1], got, err1, want, err2)
+			}
+		}
+	}
+	recoverCopy("create-time checkpoint plus tail", calls)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Engine().Compactions() == 0 {
+		t.Fatal("no compaction: the checkpoint holds no summary")
+	}
+	recoverCopy("compacted checkpoint", 0)
 }

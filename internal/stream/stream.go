@@ -196,12 +196,12 @@ func satMul(a, b int) int {
 // NewMaintainer builds a maintainer for the domain [1, n] targeting k-piece
 // summaries. bufferCap controls the compaction period; 0 picks a default
 // proportional to the summary size (8× the merging target), which keeps the
-// amortized per-update cost constant. k and bufferCap may not exceed
+// amortized per-update cost constant. n, k and bufferCap may not exceed
 // codec.MaxInt, the largest value a checkpoint carries. The update log
 // grows by append, so a huge bufferCap costs nothing up front.
 func NewMaintainer(n, k, bufferCap int, opts core.Options) (*Maintainer, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("stream: domain size %d < 1", n)
+	if n < 1 || n > codec.MaxInt {
+		return nil, fmt.Errorf("stream: domain size %d outside [1, %d], the largest a checkpoint carries", n, codec.MaxInt)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("stream: k must be ≥ 1, got %d", k)

@@ -102,7 +102,7 @@ func BenchmarkDecodeRecord(b *testing.B) {
 			var pts []int
 			var ws []float64
 			for range b.N {
-				if _, err := readRecord(src.wrap(bytes.NewReader(frame)), &pts, &ws); err != nil {
+				if _, _, err := readRecord(src.wrap(bytes.NewReader(frame)), &pts, &ws); err != nil {
 					b.Fatal(err)
 				}
 			}

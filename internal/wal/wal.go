@@ -29,8 +29,8 @@
 // between any two steps leaves either the old manifest (whose snapshot plus
 // the retained segments still cover every durable record) or the new one;
 // nothing is deleted before the manifest that supersedes it is durable.
-// Replay filters by sequence number, so records the snapshot already covers
-// are skipped wherever they sit.
+// Recovery filters by sequence number, so records the snapshot already
+// covers are skipped wherever they sit.
 //
 // Group commit: appenders serialize on one mutex only long enough to encode
 // their record into the shared pending buffer; a single flusher goroutine
@@ -41,15 +41,21 @@
 // after buffering and at most SyncEvery records (or SyncInterval of wall
 // time) can be lost to a crash; recovery still sees a clean prefix.
 //
-// Recovery (Open) reads the manifest, scans every segment in order
-// validating each record's CRC and sequence continuity, and tolerates a
-// torn tail on the LAST segment: a short read or checksum mismatch there is
-// the expected signature of a crash mid-write, so the segment is truncated
-// back to its last complete record and the log reopens for appending.
-// Corruption anywhere before the tail is data loss and fails loudly.
+// Recovery (Open) is one pass over the log. It reads the manifest, hands
+// the checkpoint's snapshot to the caller's restore function, and then
+// reads every segment once, in order: each record's CRC and sequence
+// continuity are checked, and each record past the checkpoint goes to the
+// caller's apply function as it is read. A short read or checksum mismatch
+// on the LAST segment is the expected signature of a crash mid-write, so
+// that segment is truncated back to its last complete record and the log
+// reopens for appending. Corruption anywhere before the tail is data loss
+// and fails loudly. The truncation is the pass's only write and comes after
+// every segment has been read, so an Open that fails on the snapshot or on
+// any record leaves the directory as it found it.
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -72,7 +78,9 @@ type File interface {
 	Close() error
 }
 
-// OpenFileFunc opens (creating or truncating) a segment file for appending.
+// OpenFileFunc opens a segment file for appending: it creates the file if
+// absent and appends after its existing bytes. Open hands it the recovered
+// last segment, so an opener that truncated would erase the recovered tail.
 type OpenFileFunc func(path string) (File, error)
 
 func osOpenFile(path string) (File, error) {
@@ -147,21 +155,18 @@ type Record struct {
 	// Seq is the record's sequence number (1-based, strictly increasing).
 	Seq uint64
 	// Points/Weights are the ingest call's arguments; Weights is nil for
-	// unit weights. Both are only valid during the replay callback.
+	// unit weights. Both are only valid during the apply callback.
 	Points  []int
 	Weights []float64
 }
 
-// OpenInfo describes what Open found: the checkpoint to restore and where
-// replay starts.
+// OpenInfo describes what Open recovered.
 type OpenInfo struct {
 	// SnapshotSeq is the manifest's checkpoint sequence number: the
-	// snapshot covers records 1..SnapshotSeq.
+	// snapshot handed to restore covers records 1..SnapshotSeq.
 	SnapshotSeq uint64
-	// SnapshotPath is the snapshot file to restore.
-	SnapshotPath string
 	// LastSeq is the last intact record on disk after any tail truncation;
-	// Replay yields records SnapshotSeq+1 .. LastSeq.
+	// apply saw records SnapshotSeq+1 .. LastSeq.
 	LastSeq uint64
 	// Truncated reports whether Open cut a torn tail off the last segment.
 	Truncated bool
@@ -250,21 +255,19 @@ func Create(dir string, opts Options, writeSnapshot func(io.Writer) error) (*Log
 	return l, nil
 }
 
-// Open recovers the WAL in dir: it reads the manifest, validates every
-// segment, truncates a torn tail on the last one, and reopens the log for
-// appending. The caller restores OpenInfo.SnapshotPath and then calls
-// Replay to apply the tail.
-func Open(dir string, opts Options) (*Log, OpenInfo, error) {
+// Open recovers the WAL in dir in one pass (see the package comment): it
+// hands the manifest's snapshot to restore, reads each segment once,
+// passing every record past the checkpoint to apply in sequence order,
+// truncates a torn tail on the last segment, and reopens the log for
+// appending. An error from restore or apply stops recovery and is returned.
+// When Open fails, whatever restore and apply built must be discarded.
+func Open(dir string, opts Options, restore func(io.Reader) error, apply func(Record) error) (*Log, OpenInfo, error) {
 	var info OpenInfo
 	seq, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, info, err
 	}
 	info.SnapshotSeq = seq
-	info.SnapshotPath = snapshotPath(dir, seq)
-	if _, err := os.Stat(info.SnapshotPath); err != nil {
-		return nil, info, fmt.Errorf("wal: manifest names checkpoint %d but its snapshot is missing: %w", seq, err)
-	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, info, err
@@ -272,46 +275,60 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 	if len(segs) == 0 {
 		return nil, info, fmt.Errorf("wal: %s has a manifest but no segments", dir)
 	}
-	// Validate every segment now so recovery fails before any replay side
-	// effects. Only the last segment may have a torn tail.
+	snap, err := os.Open(snapshotPath(dir, seq))
+	if err != nil {
+		return nil, info, fmt.Errorf("wal: manifest names checkpoint %d but its snapshot is missing: %w", seq, err)
+	}
+	err = restore(snap)
+	snap.Close() // only read
+	if err != nil {
+		return nil, info, fmt.Errorf("wal: restoring checkpoint %d: %w", seq, err)
+	}
+	// Only the last segment may have a torn tail, and it is cut only once
+	// every segment has been read.
+	var scan scanResult
 	last := uint64(0)
 	for i, s := range segs {
-		isLast := i == len(segs)-1
-		scan, err := scanSegment(s.path, nil)
+		if i > 0 && s.start != last {
+			return nil, info, fmt.Errorf("wal: segment %s does not follow record %d", filepath.Base(s.path), last)
+		}
+		scan, err = scanSegment(s.path, func(r Record, _ int64) error {
+			if r.Seq <= seq {
+				return nil
+			}
+			if err := apply(r); err != nil {
+				return fmt.Errorf("wal: applying record %d: %w", r.Seq, err)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, info, err
 		}
-		if scan.torn && !isLast {
+		if scan.torn && i < len(segs)-1 {
 			return nil, info, fmt.Errorf("wal: segment %s is corrupt before the log tail: %v", filepath.Base(s.path), scan.tornErr)
 		}
 		if scan.records > 0 && scan.firstSeq != s.start+1 {
 			return nil, info, fmt.Errorf("wal: segment %s starts at record %d, want %d", filepath.Base(s.path), scan.firstSeq, s.start+1)
 		}
-		if i > 0 && s.start != last {
-			return nil, info, fmt.Errorf("wal: segment %s does not follow record %d", filepath.Base(s.path), last)
-		}
-		if scan.records > 0 {
-			last = scan.lastSeq
-		} else {
-			last = s.start
-		}
-		if scan.torn {
-			info.Truncated = true
-			if err := os.Truncate(s.path, scan.goodBytes); err != nil {
-				return nil, info, fmt.Errorf("wal: truncating torn tail of %s: %w", filepath.Base(s.path), err)
-			}
-		}
+		last = s.start + uint64(scan.records)
 	}
 	if last < seq {
 		return nil, info, fmt.Errorf("wal: log ends at record %d but the checkpoint covers %d", last, seq)
+	}
+	tail := segs[len(segs)-1]
+	if scan.torn {
+		info.Truncated = true
+		if err := os.Truncate(tail.path, scan.goodBytes); err != nil {
+			return nil, info, fmt.Errorf("wal: truncating torn tail of %s: %w", filepath.Base(tail.path), err)
+		}
 	}
 	info.LastSeq = last
 	l := newLog(dir, opts)
 	l.lastSeq = last
 	l.writtenSeq = last
 	l.syncedSeq = last
-	l.segStart = segs[len(segs)-1].start
-	f, err := l.opts.OpenFile(segs[len(segs)-1].path)
+	l.segStart = tail.start
+	f, err := l.opts.OpenFile(tail.path)
 	if err != nil {
 		return nil, info, err
 	}
@@ -369,11 +386,7 @@ func (l *Log) Append(points []int, weights []float64) (uint64, error) {
 	for l.err == nil && !l.closed && len(l.pending) > maxPendingBytes {
 		l.cond.Wait()
 	}
-	if l.err != nil || l.closed {
-		err := l.err
-		if err == nil {
-			err = fmt.Errorf("wal: log is closed")
-		}
+	if err := l.refusal(); err != nil {
 		l.mu.Unlock()
 		return 0, err
 	}
@@ -478,82 +491,79 @@ func (l *Log) releaseIOLocked() {
 	l.cond.Broadcast()
 }
 
-// flushAndSync writes any pending frames and fsyncs when the policy (or
-// force) demands it.
-func (l *Log) flushAndSync(force bool) {
-	l.mu.Lock()
-	f := l.acquireIO()
-	batch := l.pending
-	recs := l.pendingRecs
-	end := l.pendingEnd
-	if l.spare == nil {
-		l.pending = nil
-	} else {
-		l.pending = l.spare[:0]
+// failLocked records err as the log's failure unless an earlier one is
+// already recorded (first error wins). The caller holds mu.
+func (l *Log) failLocked(err error) {
+	if l.err == nil {
+		l.err = err
 	}
-	l.spare = nil
-	l.pendingRecs = 0
-	hadErr := l.err != nil
-	l.mu.Unlock()
+}
 
-	var ioErr error
-	wrote := false
-	if !hadErr && len(batch) > 0 {
+// refusal returns why the log refuses writes, or nil. The caller holds mu.
+func (l *Log) refusal() error {
+	if l.err == nil && l.closed {
+		return errors.New("wal: log is closed")
+	}
+	return l.err
+}
+
+// drain hands the pending frames to one write on f, updates the write-side
+// counters, and recycles the written buffer as the spare. A failed log
+// drops its pending frames unwritten. The caller holds mu and the IO baton;
+// mu is released for the write.
+func (l *Log) drain(f File) {
+	batch, recs, end := l.pending, l.pendingRecs, l.pendingEnd
+	l.pending, l.spare, l.pendingRecs = l.spare[:0], nil, 0
+	if l.err == nil && len(batch) > 0 {
+		l.mu.Unlock()
 		n, err := f.Write(batch)
 		if err == nil && n != len(batch) {
 			err = io.ErrShortWrite
 		}
+		l.mu.Lock()
 		if err != nil {
-			ioErr = fmt.Errorf("wal: segment write: %w", err)
+			l.failLocked(fmt.Errorf("wal: segment write: %w", err))
 		} else {
-			wrote = true
+			l.writtenSeq = end
+			if l.unsyncedRecs == 0 {
+				l.oldestUnsynced = time.Now()
+			}
+			l.unsyncedRecs += recs
+			l.stats.Flushes++
+			l.stats.MaxGroup = max(l.stats.MaxGroup, recs)
 		}
 	}
+	l.spare = batch[:0]
+}
 
+// syncFile fsyncs f and marks every written record synced. The caller
+// holds mu and the IO baton; mu is released for the fsync.
+func (l *Log) syncFile(f File) {
+	l.mu.Unlock()
+	err := f.Sync()
 	l.mu.Lock()
-	if l.spare == nil || cap(batch) > cap(l.spare) {
-		l.spare = batch[:0]
-	}
-	if ioErr != nil && l.err == nil {
-		l.err = ioErr
-	}
-	if wrote {
-		l.writtenSeq = end
-		if l.unsyncedRecs == 0 {
-			l.oldestUnsynced = time.Now()
-		}
-		l.unsyncedRecs += recs
-		l.stats.Flushes++
-		if recs > l.stats.MaxGroup {
-			l.stats.MaxGroup = recs
-		}
-	}
-	needSync := l.err == nil && l.unsyncedRecs > 0 &&
-		(force || l.opts.SyncEvery <= 1 || l.unsyncedRecs >= l.opts.SyncEvery ||
-			time.Since(l.oldestUnsynced) >= l.opts.SyncInterval)
-	if !needSync {
-		l.releaseIOLocked()
-		l.cond.Broadcast()
-		l.mu.Unlock()
+	if err != nil {
+		l.failLocked(fmt.Errorf("wal: fsync: %w", err))
 		return
 	}
-	l.mu.Unlock()
+	l.syncedSeq = l.writtenSeq
+	l.unsyncedRecs = 0
+	l.stats.Fsyncs++
+}
 
-	syncErr := f.Sync()
-
+// flushAndSync writes any pending frames and fsyncs when the policy (or
+// force) demands it.
+func (l *Log) flushAndSync(force bool) {
 	l.mu.Lock()
-	if syncErr != nil {
-		if l.err == nil {
-			l.err = fmt.Errorf("wal: fsync: %w", syncErr)
-		}
-	} else {
-		l.syncedSeq = l.writtenSeq
-		l.unsyncedRecs = 0
-		l.stats.Fsyncs++
+	defer l.mu.Unlock()
+	f := l.acquireIO()
+	defer l.releaseIOLocked()
+	l.drain(f)
+	if l.err == nil && l.unsyncedRecs > 0 &&
+		(force || l.opts.SyncEvery <= 1 || l.unsyncedRecs >= l.opts.SyncEvery ||
+			time.Since(l.oldestUnsynced) >= l.opts.SyncInterval) {
+		l.syncFile(f)
 	}
-	l.releaseIOLocked()
-	l.cond.Broadcast()
-	l.mu.Unlock()
 }
 
 // Sync forces every appended record to stable storage before returning.
@@ -575,9 +585,7 @@ func (l *Log) Fail(err error) {
 		return
 	}
 	l.mu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
+	l.failLocked(err)
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }
@@ -587,99 +595,42 @@ func (l *Log) Fail(err error) {
 // boundary sequence number. A following Commit may checkpoint the boundary
 // itself or any later seq (capture-after-cut — see the commit protocol in
 // the package comment). The IO baton is held across the whole
-// drain+close+reopen, so records appended concurrently land in one segment
-// or the other, never lost and never left unsynced in a closed segment;
-// appenders themselves never touch the file, so ingestion does not stall on
-// the rotation fsync.
+// drain+fsync+close+reopen, so records appended concurrently land in one
+// segment or the other, never lost and never left unsynced in a closed
+// segment; appenders themselves never touch the file, so ingestion does not
+// stall on the rotation fsync.
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	f := l.acquireIO()
-	if l.err != nil || l.closed {
-		err := l.err
-		if err == nil {
-			err = fmt.Errorf("wal: log is closed")
-		}
-		l.releaseIOLocked()
-		l.mu.Unlock()
+	defer l.releaseIOLocked()
+	if err := l.refusal(); err != nil {
 		return 0, err
 	}
-	batch := l.pending
-	recs := l.pendingRecs
-	end := l.pendingEnd
-	if l.spare == nil {
-		l.pending = nil
-	} else {
-		l.pending = l.spare[:0]
+	l.drain(f)
+	if l.err == nil {
+		l.syncFile(f)
 	}
-	l.spare = nil
-	l.pendingRecs = 0
-	l.mu.Unlock()
-
-	var ioErr error
-	if len(batch) > 0 {
-		n, err := f.Write(batch)
-		if err == nil && n != len(batch) {
-			err = io.ErrShortWrite
-		}
-		if err != nil {
-			ioErr = fmt.Errorf("wal: segment write: %w", err)
-		}
+	if l.err != nil {
+		return 0, l.err
 	}
-	if ioErr == nil {
-		if err := f.Sync(); err != nil {
-			ioErr = fmt.Errorf("wal: fsync: %w", err)
-		}
-	}
-	if ioErr == nil {
-		if err := f.Close(); err != nil {
-			ioErr = fmt.Errorf("wal: closing segment: %w", err)
-		}
-	}
-
-	l.mu.Lock()
-	if l.spare == nil || cap(batch) > cap(l.spare) {
-		l.spare = batch[:0]
-	}
-	if ioErr != nil {
-		if l.err == nil {
-			l.err = ioErr
-		}
-		l.releaseIOLocked()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-		return 0, ioErr
-	}
-	if recs > 0 {
-		l.writtenSeq = end
-		l.stats.Flushes++
-		if recs > l.stats.MaxGroup {
-			l.stats.MaxGroup = recs
-		}
-	}
-	l.syncedSeq = l.writtenSeq
-	l.unsyncedRecs = 0
-	l.stats.Fsyncs++
 	boundary := l.writtenSeq
 	l.mu.Unlock()
-
-	nf, err := l.opts.OpenFile(segmentPath(l.dir, boundary))
-
+	var nf File
+	err := f.Close()
+	if err != nil {
+		err = fmt.Errorf("wal: closing segment: %w", err)
+	} else if nf, err = l.opts.OpenFile(segmentPath(l.dir, boundary)); err != nil {
+		err = fmt.Errorf("wal: opening segment: %w", err)
+	}
 	l.mu.Lock()
 	if err != nil {
-		if l.err == nil {
-			l.err = fmt.Errorf("wal: opening segment: %w", err)
-		}
-		l.releaseIOLocked()
-		l.cond.Broadcast()
-		l.mu.Unlock()
+		l.failLocked(err)
 		return 0, l.err
 	}
 	l.f = nf
 	l.segStart = boundary
 	l.stats.Rotations++
-	l.releaseIOLocked()
-	l.cond.Broadcast()
-	l.mu.Unlock()
 	return boundary, nil
 }
 
@@ -693,9 +644,7 @@ func (l *Log) Rotate() (uint64, error) {
 func (l *Log) Commit(seq uint64, writeSnapshot func(io.Writer) error) error {
 	if err := l.commitLocked(seq, writeSnapshot); err != nil {
 		l.mu.Lock()
-		if l.err == nil {
-			l.err = err
-		}
+		l.failLocked(err)
 		l.mu.Unlock()
 		return err
 	}
@@ -756,33 +705,6 @@ func (l *Log) removeSuperseded(seq uint64) {
 	}
 }
 
-// Replay yields every intact record with Seq > after, in order. It reads
-// the segment files directly, so it is only meaningful before new appends
-// rotate segments away — i.e. during recovery, before ingest resumes.
-func (l *Log) Replay(after uint64, fn func(Record) error) error {
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		scan, err := scanSegment(s.path, func(r Record) error {
-			if r.Seq <= after {
-				return nil
-			}
-			return fn(r)
-		})
-		if err != nil {
-			return err
-		}
-		if scan.torn {
-			// Open already truncated torn tails; hitting one here means the
-			// file changed underneath us.
-			return fmt.Errorf("wal: segment %s: %v", filepath.Base(s.path), scan.tornErr)
-		}
-	}
-	return nil
-}
-
 // Close flushes and fsyncs everything appended, stops the flusher, and
 // closes the active segment.
 func (l *Log) Close() error {
@@ -803,8 +725,8 @@ func (l *Log) Close() error {
 	l.mu.Unlock()
 	cerr := f.Close()
 	l.mu.Lock()
-	if cerr != nil && l.err == nil {
-		l.err = fmt.Errorf("wal: closing segment: %w", cerr)
+	if cerr != nil {
+		l.failLocked(fmt.Errorf("wal: closing segment: %w", cerr))
 	}
 	err := l.err
 	l.releaseIOLocked()
@@ -853,24 +775,8 @@ type scanResult struct {
 	tornErr   error
 }
 
-// countingReader counts the bytes the codec Reader reads — exactly the
-// envelope bytes of an intact record, since the Reader never reads past
-// what the payload promised — so frame offsets fall out of the scan.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// scanSegment validates one segment record by record. A decode error is
-// reported as a torn tail (records before it stay good); fn, when non-nil,
-// sees every intact record.
-func scanSegment(path string, fn func(Record) error) (scanResult, error) {
+// scanSegment is scanRecords over one segment file.
+func scanSegment(path string, fn func(rec Record, end int64) error) (scanResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return scanResult{}, err
@@ -879,103 +785,70 @@ func scanSegment(path string, fn func(Record) error) (scanResult, error) {
 	return scanRecords(f, fn)
 }
 
-// scanRecords is scanSegment on an arbitrary stream (exported for offsets
-// via SegmentOffsets and reused by tests on in-memory crash images).
-func scanRecords(r io.Reader, fn func(Record) error) (scanResult, error) {
-	cr := &countingReader{r: newBufferedReader(r)}
+// scanRecords reads a segment's records in order. A record that does not
+// decode, fails its CRC, or does not follow its predecessor's sequence
+// number is reported as a torn tail: the scan stops there, and goodBytes
+// ends the intact prefix. fn, when non-nil, sees every intact record with
+// the offset its frame ends at, and an error from it stops the scan.
+func scanRecords(r io.Reader, fn func(rec Record, end int64) error) (scanResult, error) {
+	br := bufio.NewReader(r)
 	var res scanResult
-	var prevSeq uint64
-	first := true
 	var points []int
 	var weights []float64
 	for {
-		rec, err := readRecord(cr, &points, &weights)
+		rec, size, err := readRecord(br, &points, &weights)
 		if err == io.EOF {
 			return res, nil
 		}
+		if err == nil && res.records > 0 && rec.Seq != res.lastSeq+1 {
+			err = fmt.Errorf("wal: record %d follows %d", rec.Seq, res.lastSeq)
+		}
 		if err != nil {
-			res.torn = true
-			res.tornErr = err
+			res.torn, res.tornErr = true, err
 			return res, nil
 		}
-		if !first && rec.Seq != prevSeq+1 {
-			res.torn = true
-			res.tornErr = fmt.Errorf("wal: record %d follows %d", rec.Seq, prevSeq)
-			return res, nil
-		}
-		if first {
+		if res.records == 0 {
 			res.firstSeq = rec.Seq
-			first = false
 		}
-		prevSeq = rec.Seq
-		res.lastSeq = rec.Seq
 		res.records++
-		res.goodBytes = cr.n
+		res.lastSeq = rec.Seq
+		res.goodBytes += size
 		if fn != nil {
-			if err := fn(rec); err != nil {
+			if err := fn(rec, res.goodBytes); err != nil {
 				return res, err
 			}
 		}
 	}
 }
 
-// newBufferedReader smooths syscalls under the countingReader. Buffering
-// must sit BELOW the counter so goodBytes stays exact: countingReader
-// counts what the codec Reader reads, and the codec Reader never reads past
-// what the payload promised, so after an intact record the count lands
-// precisely on its frame boundary.
-func newBufferedReader(r io.Reader) io.Reader {
-	return &bufReader{r: r}
-}
-
-// bufReader serves Read calls from an internal read-ahead buffer but only
-// hands out what is asked, never claiming bytes the caller didn't consume.
-type bufReader struct {
-	r   io.Reader
-	buf [4096]byte
-	i   int
-	n   int
-}
-
-func (b *bufReader) Read(p []byte) (int, error) {
-	if b.i == b.n {
-		n, err := b.r.Read(b.buf[:])
-		if n == 0 {
-			return 0, err
-		}
-		b.i, b.n = 0, n
-	}
-	n := copy(p, b.buf[b.i:b.n])
-	b.i += n
-	return n, nil
-}
-
-// readRecord decodes one TagWALRecord envelope. io.EOF means a clean end of
+// readRecord decodes one TagWALRecord envelope and returns it with its
+// frame's length: the codec Reader reads no byte past the envelope, so
+// after Close its Len is exactly the frame. io.EOF means a clean end of
 // segment (EOF before any header byte); any other failure is a torn or
 // corrupt record.
-func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, error) {
+func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, int64, error) {
 	dec := codec.NewReader(r)
 	tag, err := dec.Header()
 	if errors.Is(err, io.EOF) {
-		return Record{}, io.EOF
+		return Record{}, 0, io.EOF
 	}
 	if err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
 	if tag != codec.TagWALRecord {
-		return Record{}, fmt.Errorf("wal: envelope holds type tag %d, not a WAL record", tag)
+		return Record{}, 0, fmt.Errorf("wal: envelope holds type tag %d, not a WAL record", tag)
 	}
 	var rec Record
 	if rec.Seq, err = dec.Uvarint(); err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
 	if *points, err = dec.Ints(*points); err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
 	rec.Points = *points
 	flag, err := dec.ReadByte()
 	if err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
 	switch flag {
 	case 0:
@@ -983,44 +856,31 @@ func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, error) 
 	case 1:
 		ws, err := dec.PackedFloat64s(nil)
 		if err != nil {
-			return Record{}, err
+			return Record{}, 0, err
 		}
 		if len(ws) != len(rec.Points) {
-			return Record{}, fmt.Errorf("wal: %d weights for %d points", len(ws), len(rec.Points))
+			return Record{}, 0, fmt.Errorf("wal: %d weights for %d points", len(ws), len(rec.Points))
 		}
 		*weights = ws
 		rec.Weights = ws
 	default:
-		return Record{}, fmt.Errorf("wal: bad weights flag %d", flag)
+		return Record{}, 0, fmt.Errorf("wal: bad weights flag %d", flag)
 	}
 	if err := dec.Close(); err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
-	return rec, nil
+	return rec, dec.Len(), nil
 }
 
 // SegmentOffsets returns the byte offset of the END of each intact record
 // frame in the segment — the crash points the recovery property tests sweep.
 func SegmentOffsets(path string) ([]int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cr := &countingReader{r: newBufferedReader(f)}
 	var offs []int64
-	var points []int
-	var weights []float64
-	for {
-		_, err := readRecord(cr, &points, &weights)
-		if err == io.EOF {
-			return offs, nil
-		}
-		if err != nil {
-			return offs, nil
-		}
-		offs = append(offs, cr.n)
-	}
+	_, err := scanSegment(path, func(_ Record, end int64) error {
+		offs = append(offs, end)
+		return nil
+	})
+	return offs, err
 }
 
 // SegmentPath returns the path of the segment whose records follow seq.

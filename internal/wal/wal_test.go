@@ -53,21 +53,29 @@ func appendN(t *testing.T, l *Log, n int, withWeights bool) []rec {
 	return recs
 }
 
-func replayAll(t *testing.T, l *Log, after uint64) []rec {
-	t.Helper()
-	var got []rec
-	err := l.Replay(after, func(r Record) error {
-		got = append(got, rec{
+// recovered is what Open handed its callbacks: the snapshot's bytes and
+// every applied record.
+type recovered struct {
+	snap string
+	recs []rec
+}
+
+// openLog runs Open, collecting what it restores and applies.
+func openLog(dir string, opts Options) (*Log, OpenInfo, *recovered, error) {
+	got := &recovered{}
+	l, info, err := Open(dir, opts, func(r io.Reader) error {
+		blob, err := io.ReadAll(r)
+		got.snap = string(blob)
+		return err
+	}, func(r Record) error {
+		got.recs = append(got.recs, rec{
 			seq:     r.Seq,
 			points:  append([]int(nil), r.Points...),
 			weights: append([]float64(nil), r.Weights...),
 		})
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	return got
+	return l, info, got, err
 }
 
 func sameRecs(t *testing.T, got, want []rec) {
@@ -100,7 +108,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	l2, info, err := Open(dir, Options{})
+	l2, info, got, err := openLog(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -114,11 +122,10 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	if info.Truncated {
 		t.Fatal("clean log reported as truncated")
 	}
-	blob, err := os.ReadFile(info.SnapshotPath)
-	if err != nil || string(blob) != "SNAP:init" {
-		t.Fatalf("snapshot = %q, %v", blob, err)
+	if got.snap != "SNAP:init" {
+		t.Fatalf("snapshot = %q", got.snap)
 	}
-	sameRecs(t, replayAll(t, l2, 0), want)
+	sameRecs(t, got.recs, want)
 
 	// Appends resume with the next sequence number.
 	seq, err := l2.Append([]int{1}, nil)
@@ -156,7 +163,7 @@ func TestWALRotateCommitRecovery(t *testing.T) {
 		t.Fatalf("superseded snapshot survives: %v", err)
 	}
 
-	l2, info, err := Open(dir, Options{})
+	l2, info, got, err := openLog(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -164,11 +171,10 @@ func TestWALRotateCommitRecovery(t *testing.T) {
 	if info.SnapshotSeq != 9 || info.LastSeq != 14 {
 		t.Fatalf("info = %+v, want snapshot 9 last 14", info)
 	}
-	blob, _ := os.ReadFile(info.SnapshotPath)
-	if string(blob) != "SNAP:ckpt9" {
-		t.Fatalf("snapshot = %q", blob)
+	if got.snap != "SNAP:ckpt9" {
+		t.Fatalf("snapshot = %q", got.snap)
 	}
-	sameRecs(t, replayAll(t, l2, info.SnapshotSeq), post)
+	sameRecs(t, got.recs, post)
 }
 
 // TestWALCommitPastRotationBoundary: the capture-after-cut protocol —
@@ -211,7 +217,7 @@ func TestWALCommitPastRotationBoundary(t *testing.T) {
 		t.Fatalf("active segment pruned: %v", err)
 	}
 
-	l2, info, err := Open(dir, Options{})
+	l2, info, got, err := openLog(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -219,7 +225,7 @@ func TestWALCommitPastRotationBoundary(t *testing.T) {
 	if info.SnapshotSeq != 9 || info.LastSeq != 13 {
 		t.Fatalf("info = %+v, want snapshot 9 last 13", info)
 	}
-	sameRecs(t, replayAll(t, l2, info.SnapshotSeq), post)
+	sameRecs(t, got.recs, post)
 
 	// The next checkpoint prunes wal-6.log once a later segment covers it.
 	if _, err := l2.Rotate(); err != nil {
@@ -258,7 +264,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		if err := os.Truncate(seg, cut); err != nil {
 			t.Fatal(err)
 		}
-		l, info, err := Open(dir, Options{})
+		l, info, got, err := openLog(dir, Options{})
 		if err != nil {
 			t.Fatalf("Open after torn tail: %v", err)
 		}
@@ -270,7 +276,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		if st.Size() != offs[10] {
 			t.Fatalf("segment %d bytes after truncate, want %d", st.Size(), offs[10])
 		}
-		sameRecs(t, replayAll(t, l, 0), recs[:11])
+		sameRecs(t, got.recs, recs[:11])
 	})
 
 	t.Run("bitflip", func(t *testing.T) {
@@ -288,7 +294,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		if err := os.WriteFile(seg, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, info, err := Open(dir, Options{})
+		l, info, got, err := openLog(dir, Options{})
 		if err != nil {
 			t.Fatalf("Open after bit flip: %v", err)
 		}
@@ -296,7 +302,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		if !info.Truncated || info.LastSeq != 11 {
 			t.Fatalf("info = %+v, want truncated last 11", info)
 		}
-		sameRecs(t, replayAll(t, l, 0), recs[:11])
+		sameRecs(t, got.recs, recs[:11])
 	})
 
 	t.Run("empty-tail", func(t *testing.T) {
@@ -304,7 +310,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		if err := os.Truncate(seg, 3); err != nil { // shorter than any header
 			t.Fatal(err)
 		}
-		l, info, err := Open(dir, Options{})
+		l, info, _, err := openLog(dir, Options{})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -340,9 +346,95 @@ func TestWALRecoveryRejectsMidLogCorruption(t *testing.T) {
 	if err := os.WriteFile(seg0, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil {
+	if _, _, _, err := openLog(dir, Options{}); err == nil {
 		t.Fatalf("Open accepted corruption before the tail (boundary %d)", boundary)
 	}
+}
+
+// TestWALFailedRecoveryLeavesDirUntouched: a corrupt record in a segment
+// before the last fails Open even while the last segment has a torn tail,
+// and the one-pass scan truncates nothing before it has read every earlier
+// segment: every file is byte-identical afterwards.
+func TestWALFailedRecoveryLeavesDirUntouched(t *testing.T) {
+	dir := t.TempDir()
+	l := mustCreate(t, dir, Options{})
+	appendN(t, l, 6, true)
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 6, false)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg0, seg6 := segmentPath(dir, 0), segmentPath(dir, 6)
+	blob, err := os.ReadFile(seg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 0xff
+	if err := os.WriteFile(seg0, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	offs, err := SegmentOffsets(seg6)
+	if err != nil || len(offs) != 6 {
+		t.Fatalf("offsets: %v, %v", offs, err)
+	}
+	if err := os.Truncate(seg6, offs[4]+(offs[5]-offs[4])/2); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string, len(ents))
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before := files()
+	if l2, _, _, err := openLog(dir, Options{}); err == nil {
+		l2.Close()
+		t.Fatal("Open accepted corruption before the tail")
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatal("a failed Open changed the directory")
+	}
+}
+
+// TestWALOpenFileAppends: Open hands the recovered last segment to
+// Options.OpenFile and appends after its records, as FaultFS.Open does.
+// Recovering under it, appending, and recovering again finds every record.
+func TestWALOpenFileAppends(t *testing.T) {
+	dir := t.TempDir()
+	l := mustCreate(t, dir, Options{})
+	want := appendN(t, l, 5, true)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, _, got, err := openLog(dir, Options{OpenFile: NewFaultFS().Open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecs(t, got.recs, want)
+	want = append(want, appendN(t, l2, 4, false)...)
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l3, info, got, err := openLog(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if info.LastSeq != 9 {
+		t.Fatalf("LastSeq = %d, want 9", info.LastSeq)
+	}
+	sameRecs(t, got.recs, want)
 }
 
 // TestWALCrashRecoverySweep drives the FaultFS page-cache model: for every
@@ -380,7 +472,7 @@ func TestWALCrashRecoverySweep(t *testing.T) {
 		}
 		// The log is now poisoned for IO but the directory is the crash
 		// image; recover from it.
-		l2, info, err := Open(dir, Options{})
+		l2, info, got, err := openLog(dir, Options{})
 		if err != nil {
 			t.Fatalf("keep=%d: Open: %v", keep, err)
 		}
@@ -388,8 +480,7 @@ func TestWALCrashRecoverySweep(t *testing.T) {
 		if info.LastSeq < 4 {
 			t.Fatalf("keep=%d: recovered LastSeq %d lost fsynced records", keep, info.LastSeq)
 		}
-		got := replayAll(t, l2, 0)
-		sameRecs(t, got, recs[:info.LastSeq])
+		sameRecs(t, got.recs, recs[:info.LastSeq])
 	}
 
 	// Learn the unsynced size once.
@@ -439,7 +530,7 @@ func TestWALCrashRecoveryReorderedWrites(t *testing.T) {
 	if err := ff.CrashReordered(n/2, n); err != nil {
 		t.Fatal(err)
 	}
-	l2, info, err := Open(dir, Options{})
+	l2, info, got, err := openLog(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open after reordered crash: %v", err)
 	}
@@ -450,7 +541,7 @@ func TestWALCrashRecoveryReorderedWrites(t *testing.T) {
 	if info.LastSeq != 3 {
 		t.Fatalf("LastSeq = %d, want the fsynced prefix 3", info.LastSeq)
 	}
-	sameRecs(t, replayAll(t, l2, 0), recs[:3])
+	sameRecs(t, got.recs, recs[:3])
 }
 
 // TestWALWriteFailurePoisonsLog: an injected write error surfaces on
@@ -532,15 +623,11 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All records intact on reopen.
-	l2, info, err := Open(dir, Options{})
+	l2, info, got, err := openLog(dir, Options{})
 	if err != nil || info.LastSeq != G*per {
 		t.Fatalf("reopen: last %d, %v", info.LastSeq, err)
 	}
-	seen := 0
-	if err := l2.Replay(0, func(r Record) error { seen++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if seen != G*per {
+	if seen := len(got.recs); seen != G*per {
 		t.Fatalf("replayed %d, want %d", seen, G*per)
 	}
 	l2.Close()
@@ -587,7 +674,7 @@ func TestWALSyncEveryCoalescesSequentialAppends(t *testing.T) {
 
 // TestWALOpenErrors: the paths that must fail do fail.
 func TestWALOpenErrors(t *testing.T) {
-	if _, _, err := Open(t.TempDir(), Options{}); err == nil {
+	if _, _, _, err := openLog(t.TempDir(), Options{}); err == nil {
 		t.Fatal("Open on an empty dir succeeded")
 	}
 	dir := t.TempDir()
@@ -600,7 +687,7 @@ func TestWALOpenErrors(t *testing.T) {
 	if err := os.Remove(snapshotPath(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil {
+	if _, _, _, err := openLog(dir, Options{}); err == nil {
 		t.Fatal("Open without the manifest's snapshot succeeded")
 	}
 }
@@ -622,7 +709,7 @@ func TestWALManifestIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	l2, info, err := Open(dir, Options{})
+	l2, info, got, err := openLog(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -630,7 +717,7 @@ func TestWALManifestIsAtomic(t *testing.T) {
 	if info.SnapshotSeq != 0 || info.LastSeq != 5 {
 		t.Fatalf("info = %+v", info)
 	}
-	sameRecs(t, replayAll(t, l2, 0), recs)
+	sameRecs(t, got.recs, recs)
 }
 
 // TestWALStatsAccounting sanity-checks the counters the /metrics endpoint
@@ -679,7 +766,7 @@ func TestWALBackpressure(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, info, err := Open(dir, Options{})
+	l2, info, _, err := openLog(dir, Options{})
 	if err != nil || info.LastSeq != 40 {
 		t.Fatalf("reopen: %+v, %v", info, err)
 	}
