@@ -300,26 +300,6 @@ func BenchmarkAblationGramEvaluator(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationInitialPartition isolates the stage costs of Fit before
-// its merging rounds: sparse conversion, then the initial partition I₀ with
-// its statistics (InitialState) on one worker and on all cores.
-func BenchmarkAblationInitialPartition(b *testing.B) {
-	q := datasets.Dow()
-	b.Run("fromDense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.FromDense(q)
-		}
-	})
-	sf := sparse.FromDense(q)
-	for _, w := range []int{1, 0} {
-		b.Run("initialState/"+workersName(w), func(b *testing.B) {
-			for b.Loop() {
-				sf.InitialState(w)
-			}
-		})
-	}
-}
-
 // ----------------------------------------------------------------- util
 
 func itoa(x int) string { return strconv.Itoa(x) }

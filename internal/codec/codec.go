@@ -251,6 +251,15 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{cursor{src: r}}
 }
 
+// Reset readies d to decode the next envelope from r, as NewReader(r)
+// would: the CRC and Len restart from zero, and any bytes left in the
+// window are dropped. The window keeps its capacity, so a caller decoding
+// envelope after envelope refills one buffer instead of allocating one
+// per envelope.
+func (d *Reader) Reset(r io.Reader) {
+	d.cursor = cursor{buf: d.buf[:0], src: r}
+}
+
 // Header validates the envelope prefix and returns the type tag. An error
 // wrapping io.EOF means r ended before the envelope's first byte; a partial
 // header gives io.ErrUnexpectedEOF.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // roundTrip frames a payload written by fill and hands the bytes to a fresh
@@ -291,6 +293,82 @@ func TestConcatenatedEnvelopes(t *testing.T) {
 	}
 	if stream.Len() != 0 {
 		t.Fatalf("%d bytes left over after three envelopes", stream.Len())
+	}
+}
+
+// TestReaderResetMatchesFreshReaders: one Reader, Reset before each
+// envelope, decodes consecutive envelopes on one stream exactly as a fresh
+// Reader per envelope does: the same tags, values, lengths and CRC
+// verdicts, with the window grown by a large envelope reused for a small
+// one and the other way round, over whole and one-byte reads.
+func TestReaderResetMatchesFreshReaders(t *testing.T) {
+	var buf bytes.Buffer
+	for i, size := range []int{5000, 3, 70000, 1} {
+		w := NewWriter(&buf, byte(i+1))
+		ints := make([]int, size)
+		floats := make([]float64, size)
+		for j := range ints {
+			ints[j] = 3*j + i
+			floats[j] = float64(j) / 7
+		}
+		w.Int(size)
+		w.DeltaInts(ints)
+		w.PackedFloat64s(floats)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type envelope struct {
+		tag    byte
+		size   int
+		ints   []int
+		floats []float64
+		n      int64
+	}
+	decode := func(r *Reader) (envelope, error) {
+		var e envelope
+		var err error
+		if e.tag, err = r.Header(); err != nil {
+			return e, err
+		}
+		if e.size, err = r.Int(); err != nil {
+			return e, err
+		}
+		if e.ints, err = r.DeltaInts(nil); err != nil {
+			return e, err
+		}
+		if e.floats, err = r.PackedFloat64s(nil); err != nil {
+			return e, err
+		}
+		err = r.Close()
+		e.n = r.Len()
+		return e, err
+	}
+	for _, wrap := range []func(io.Reader) io.Reader{
+		func(r io.Reader) io.Reader { return r },
+		iotest.OneByteReader,
+	} {
+		fresh, reset := wrap(bytes.NewReader(buf.Bytes())), wrap(bytes.NewReader(buf.Bytes()))
+		r := NewReader(nil)
+		for i := range 4 {
+			want, werr := decode(NewReader(fresh))
+			r.Reset(reset)
+			got, gerr := decode(r)
+			if werr != nil || gerr != nil {
+				t.Fatalf("envelope %d: fresh reader %v, reset reader %v", i, werr, gerr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("envelope %d: reset reader read tag %d, %d values, %d bytes; fresh reader tag %d, %d values, %d bytes",
+					i, got.tag, len(got.ints), got.n, want.tag, len(want.ints), want.n)
+			}
+		}
+		if _, err := NewReader(fresh).Header(); !errors.Is(err, io.EOF) {
+			t.Fatalf("fresh readers left bytes: %v", err)
+		}
+		r.Reset(reset)
+		if _, err := r.Header(); !errors.Is(err, io.EOF) {
+			t.Fatalf("the reset reader left bytes: %v", err)
+		}
 	}
 }
 

@@ -109,6 +109,11 @@ type Result struct {
 // a chunk that needs lengths reads the Hi of the node before the chunk;
 // the passes read nodes and write next, so no pass writes that slot.
 //
+// ConstructHistogram's first round reads no nodes: it regenerates I₀ a
+// block at a time into small windows (firstRound), so round one's output
+// is the first node slice a fit holds, and round two allocates its own
+// buffer, the one every later round swaps with.
+//
 // All scratch buffers are owned by the state and reused round after round:
 // after the first round a serial merging round performs no heap allocation
 // (asserted by TestPairRoundSteadyStateAllocs). Parallel rounds additionally
@@ -161,14 +166,7 @@ func (m *mergeState) hiBefore(i int) int {
 // initPasses binds the chunk passes shared by pairRound and groupRound.
 func (m *mergeState) initPasses() {
 	m.fnPairErrs = func(_, lo, hi int) {
-		prev := m.hiBefore(2 * lo)
-		pairs := m.nodes[2*lo : 2*hi]
-		errs := m.errs[lo:hi]
-		for u := range errs {
-			nd := pairs[2*u].Merge(pairs[2*u+1])
-			errs[u] = nd.Stat(prev).SSE()
-			prev = nd.Hi
-		}
+		pairErrs(m.hiBefore(2*lo), m.nodes[2*lo:2*hi], m.errs[lo:hi])
 	}
 	m.fnCount = func(ci, lo, hi int) {
 		greater, ties := 0, 0
@@ -189,24 +187,43 @@ func (m *mergeState) initPasses() {
 		m.outTotal += (hi - lo) + m.chunkGreater[ci] + m.chunkTieUse[ci]
 	}
 	m.fnPairWrite = func(ci, lo, hi int) {
-		o := m.chunkOff[ci]
-		tieLeft := m.chunkTieUse[ci]
-		for u := lo; u < hi; u++ {
-			e := m.errs[u]
-			tie := e == m.cut && tieLeft > 0
-			if e > m.cut || tie {
-				if tie {
-					tieLeft--
-				}
-				m.next[o], m.next[o+1] = m.nodes[2*u], m.nodes[2*u+1]
-				o += 2
-			} else {
-				m.next[o] = m.nodes[2*u].Merge(m.nodes[2*u+1])
-				o++
-			}
-		}
+		m.writePairs(m.nodes[2*lo:2*hi], m.errs[lo:hi], m.chunkOff[ci], m.chunkTieUse[ci])
 	}
 	m.initGroupPasses()
+}
+
+// pairErrs is the error kernel of a pair round: errs[u] is the flattening
+// error of pairs[2u] merged with pairs[2u+1], and prev is the right
+// endpoint of the node before pairs[0].
+func pairErrs(prev int, pairs []sparse.Node, errs []float64) {
+	for u := range errs {
+		nd := pairs[2*u].Merge(pairs[2*u+1])
+		errs[u] = nd.Stat(prev).SSE()
+		prev = nd.Hi
+	}
+}
+
+// writePairs is the write kernel of a pair round: from m.next[o] on it
+// writes each pair's successors, both nodes of a pair that stays split
+// and the merged node otherwise, with errs the pairs' errors and tieLeft
+// the ties at the cut still allowed to stay split. It returns the next
+// offset and the ties left.
+func (m *mergeState) writePairs(pairs []sparse.Node, errs []float64, o, tieLeft int) (int, int) {
+	next, cut := m.next, m.cut
+	for u, e := range errs {
+		tie := e == cut && tieLeft > 0
+		if e > cut || tie {
+			if tie {
+				tieLeft--
+			}
+			next[o], next[o+1] = pairs[2*u], pairs[2*u+1]
+			o += 2
+		} else {
+			next[o] = pairs[2*u].Merge(pairs[2*u+1])
+			o++
+		}
+	}
+	return o, tieLeft
 }
 
 func (m *mergeState) len() int { return len(m.nodes) }
@@ -316,13 +333,24 @@ func (m *mergeState) cutAndTieBudgets(keep, w, nc int) {
 // current intervals, keep the `keep` pairs with the largest merge errors
 // split, and merge every other pair. An unpaired trailing interval is
 // carried over. It reports the number of live intervals after the round.
-//
-// The round runs in three chunked passes over the pairs — compute merge
-// errors, count split decisions per chunk, write the next generation at
-// precomputed offsets — so any number of workers produces the same interval
-// sequence the serial loop historically did, bit for bit.
 func (m *mergeState) pairRound(keep int) int {
 	s := len(m.nodes)
+	outLen := m.pairPasses(s, keep, m.fnPairErrs, m.fnPairWrite)
+	if s%2 == 1 { // trailing unpaired interval
+		m.next[outLen-1] = m.nodes[s-1]
+	}
+	m.nodes, m.next = m.next[:outLen], m.nodes
+	return len(m.nodes)
+}
+
+// pairPasses runs a pair round over s live intervals in three chunked
+// passes over the pairs — errsPass computes the merge errors into m.errs,
+// the cut and tie budgets are counted per chunk, and writePass writes the
+// next generation into m.next at precomputed offsets — so any number of
+// workers produces the same interval sequence the serial loop historically
+// did, bit for bit. It returns the output length; the caller writes the
+// unpaired trailing interval of an odd s into its last slot.
+func (m *mergeState) pairPasses(s, keep int, errsPass, writePass func(ci, lo, hi int)) int {
 	pairs := s / 2
 	if keep >= pairs {
 		keep = pairs - 1 // guarantee progress: at least one pair merges
@@ -334,25 +362,97 @@ func (m *mergeState) pairRound(keep int) int {
 	w := m.roundWorkers(pairs)
 	nc := parallel.NumChunks(pairs, w)
 	m.errs = grow(m.errs, pairs)
-	parallel.ForChunks(w, pairs, nc, m.fnPairErrs)
+	parallel.ForChunks(w, pairs, nc, errsPass)
 
 	m.cutAndTieBudgets(keep, w, nc)
 
 	m.outTotal = 0
 	parallel.ForChunks(1, pairs, nc, m.fnPairOff)
-	carry := s%2 == 1
-	outLen := m.outTotal
-	if carry {
-		outLen++
-	}
+	outLen := m.outTotal + s%2
 	m.next = grow(m.next, outLen)
 
-	parallel.ForChunks(w, pairs, nc, m.fnPairWrite)
-	if carry { // trailing unpaired interval
-		m.next[outLen-1] = m.nodes[s-1]
+	parallel.ForChunks(w, pairs, nc, writePass)
+	return outLen
+}
+
+// firstRound is pairRound over I₀ without I₀: each chunk of pairs
+// regenerates the I₀ nodes it covers a block at a time into its own
+// window and runs pairRound's kernels over it, once for the errors and
+// again for the write. Memory then sees only the sparse entries and the
+// round's output, about half of I₀. The chunks are pairRound's, so the
+// output is the round pairRound would make from bl.Nodes().
+func (m *mergeState) firstRound(bl sparse.Blocks, keep int) {
+	s := bl.Len()
+	wins := make([]i0Window, m.roundWorkers(s/2)) // one per chunk
+	window := func(ci, t int) *i0Window {
+		w := &wins[ci]
+		if w.buf == nil {
+			w.bl, w.buf = bl, make([]sparse.Node, 1+min(sparse.MaxBlockNodes, s))
+		}
+		w.seek(t)
+		return w
 	}
-	m.nodes, m.next = m.next[:outLen], m.nodes
-	return len(m.nodes)
+	errsPass := func(ci, lo, hi int) {
+		w := window(ci, 2*lo)
+		for u := lo; u < hi; {
+			pairs, prev := w.pairs(hi - u)
+			pairErrs(prev, pairs, m.errs[u:u+len(pairs)/2])
+			u += len(pairs) / 2
+		}
+	}
+	writePass := func(ci, lo, hi int) {
+		w := window(ci, 2*lo)
+		o, tieLeft := m.chunkOff[ci], m.chunkTieUse[ci]
+		for u := lo; u < hi; {
+			pairs, _ := w.pairs(hi - u)
+			o, tieLeft = m.writePairs(pairs, m.errs[u:u+len(pairs)/2], o, tieLeft)
+			u += len(pairs) / 2
+		}
+	}
+	outLen := m.pairPasses(s, keep, errsPass, writePass)
+	if s%2 == 1 { // trailing unpaired interval
+		m.next[outLen-1] = window(0, s-1).nodes[0]
+	}
+	m.nodes, m.next = m.next[:outLen], nil
+}
+
+// i0Window holds the I₀ nodes a pass over a range of pairs has not read
+// yet: at most one node carried from the previous block and one block.
+type i0Window struct {
+	bl    sparse.Blocks
+	buf   []sparse.Node // a carried node and a block: 1 + min(sparse.MaxBlockNodes, |I₀|)
+	nodes []sparse.Node // the unread nodes, a tail of buf
+	next  int           // the block to write after nodes
+	prev  int           // right endpoint of the node before nodes[0]
+}
+
+// seek writes the block that owns I₀ node t and starts the window at t.
+func (w *i0Window) seek(t int) {
+	b := w.bl.Find(t)
+	pos := t - w.bl.Start(b)
+	w.nodes = w.buf[pos:w.bl.Write(b, w.buf)]
+	w.next = b + 1
+	if pos > 0 {
+		w.prev = w.buf[pos-1].Hi
+	} else {
+		w.prev = w.bl.HiBefore(b)
+	}
+}
+
+// pairs returns the window's next whole pairs, at most limit of them, and
+// the right endpoint of the node before them, writing the next block
+// behind an odd node left over when fewer than two nodes remain. The
+// caller asks only for pairs that I₀ holds.
+func (w *i0Window) pairs(limit int) ([]sparse.Node, int) {
+	for len(w.nodes) < 2 {
+		c := copy(w.buf, w.nodes)
+		w.nodes = w.buf[:c+w.bl.Write(w.next, w.buf[c:])]
+		w.next++
+	}
+	n := 2 * min(len(w.nodes)/2, limit)
+	p, prev := w.nodes[:n], w.prev
+	w.nodes, w.prev = w.nodes[n:], p[n-1].Hi
+	return p, prev
 }
 
 // ConstructHistogram is Algorithm 1: it approximates the s-sparse function q
@@ -368,10 +468,17 @@ func ConstructHistogram(q *sparse.Func, k int, opts Options) (Result, error) {
 	if k < 1 {
 		return Result{}, fmt.Errorf("core: k must be ≥ 1, got %d", k)
 	}
-	m := newMergeState(q, opts.Workers)
+	m := &mergeState{workers: parallel.Resolve(opts.Workers)}
+	m.initPasses()
+	bl := q.Blocks(m.workers)
 	target := opts.TargetPieces(k)
 	keep := opts.KeepBudget(k)
-	rounds := 0
+	if bl.Len() <= target { // no round: the result is I₀ itself
+		m.nodes = bl.Nodes()
+		return m.finish(q.N(), 0), nil
+	}
+	m.firstRound(bl, keep)
+	rounds := 1
 	for m.len() > target {
 		m.pairRound(keep)
 		rounds++

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/interval"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/sparse"
 )
@@ -121,30 +124,165 @@ func oracleInitialState(q *sparse.Func) (interval.Partition, []sparse.Stat) {
 	return p, q.StatsFor(p)
 }
 
-// TestInitialStateConstructMatchesOracleSummary: a fit from the parallel
-// initial-state builder equals the merging loop started from the old I₀
-// and its StatsFor statistics, bit for bit, at every worker count.
+// TestInitialStateConstructMatchesOracleSummary: a fit, whose first round
+// regenerates I₀ block by block into windows, equals the merging loop
+// started from the old I₀ and its StatsFor statistics, bit for bit, at
+// every worker count: on the equivalence fixtures and on the window-seam
+// inputs of seamFixtures, at k from one piece to more than some inputs'
+// I₀ holds.
 func TestInitialStateConstructMatchesOracleSummary(t *testing.T) {
+	inputs := seamFixtures(t)
 	for name, q := range equivFixtures() {
-		sf := sparse.FromDense(q)
+		inputs[name] = sparse.FromDense(q)
+	}
+	for name, sf := range inputs {
 		p, stats := oracleInitialState(sf)
 		for _, opts := range []Options{DefaultOptions(), PaperOptions()} {
-			const k = 17
-			opts.Workers = 1
-			want, err := ConstructHistogramFromSummary(sf.N(), p, stats, k, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for _, w := range equivalenceWorkers {
-				opts.Workers = w
-				got, err := ConstructHistogram(sf, k, opts)
+			for _, k := range []int{1, 17, 1000} {
+				opts.Workers = 1
+				want, err := ConstructHistogramFromSummary(sf.N(), p, stats, k, opts)
 				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, w, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				sameResult(t, name+"/oracle-I0", want, got)
+				for _, w := range []int{1, 2, 3, 8} {
+					opts.Workers = w
+					got, err := ConstructHistogram(sf, k, opts)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", name, w, err)
+					}
+					sameResult(t, fmt.Sprintf("%s/k=%d/workers=%d/oracle-I0", name, k, w), want, got)
+				}
 			}
 		}
 	}
+}
+
+// seamFixtures returns the inputs where a first-round window starts, ends
+// or carries a node: for each spacing d from 1 to 5, entries 1 to 6
+// points apart with spacing d on both sides of every block boundary and
+// of the entry that owns the first node of every pair chunk at 2, 3 and 8
+// workers; an I₀ of odd length; the first entry at 1 and the last at n,
+// alone in the last block, which therefore owns no node; a pair chunk
+// that starts on a block's first node; and a small input whose I₀ needs
+// no round at k = 1000.
+func seamFixtures(t *testing.T) map[string]*sparse.Func {
+	t.Helper()
+	const s = 32*sparse.BlockEntries + 1
+	r := rng.New(4242)
+	in := make(map[string]*sparse.Func)
+	build := func(first int, gaps []int, tail int) *sparse.Func {
+		es := []sparse.Entry{{Index: first, Value: r.NormFloat64() + 3}}
+		for _, g := range gaps {
+			es = append(es, sparse.Entry{Index: es[len(es)-1].Index + g, Value: r.NormFloat64() - 3})
+		}
+		f, err := sparse.New(es[len(es)-1].Index+tail, es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	randomGaps := func() []int {
+		gaps := make([]int, s-1)
+		for i := range gaps {
+			gaps[i] = 1 + r.Intn(6)
+		}
+		return gaps
+	}
+	for d := 1; d <= 5; d++ {
+		gaps := randomGaps()
+		first, tail := 1+r.Intn(4), r.Intn(3)
+		// surround sets spacing d on the four gaps each side of entry e;
+		// it reports whether any changed.
+		surround := func(e int) bool {
+			changed := false
+			for g := max(0, e-4); g < min(len(gaps), e+4); g++ {
+				if gaps[g] != d {
+					gaps[g], changed = d, true
+				}
+			}
+			return changed
+		}
+		for b := sparse.BlockEntries; b < s; b += sparse.BlockEntries {
+			surround(b)
+		}
+		// Moving a spacing moves the chunk boundaries after it, so repeat
+		// until every boundary sits in spacing d.
+		for round := 0; ; round++ {
+			f := build(first, gaps, tail)
+			changed := false
+			for _, e := range pairChunkOwners(f) {
+				changed = surround(e) || changed
+			}
+			if !changed {
+				in[fmt.Sprintf("seams_d%d", d)] = f
+				break
+			}
+			if round == 20 {
+				t.Fatalf("spacing %d: pair-chunk boundaries did not settle", d)
+			}
+		}
+	}
+
+	gaps := randomGaps()
+	odd := build(2, gaps, 1)
+	if odd.Blocks(1).Len()%2 == 0 {
+		odd = build(2, gaps, 2) // a trailing gap: one node more
+	}
+	if odd.Blocks(1).Len()%2 == 0 {
+		t.Fatal("no I₀ of odd length")
+	}
+	in["odd_I0"] = odd
+
+	gaps = randomGaps()
+	gaps[len(gaps)-1] = 1
+	edges := build(1, gaps, 0)
+	if bl := edges.Blocks(1); bl.Start(s/sparse.BlockEntries) != bl.Len() {
+		t.Fatal("the block of the entry at n owns a node")
+	}
+	in["ends_at_1_and_n"] = edges
+
+	// Dense from point 2: entry 0 owns three nodes and every later entry
+	// one, so block b starts at I₀ node 512b+2, and with 2·16·512+3
+	// entries the second of two pair chunks starts on block 16's first
+	// node, where a window's first pair follows the block before.
+	dense := make([]float64, 2*16*sparse.BlockEntries+4)
+	for i := 1; i < len(dense); i++ {
+		dense[i] = r.NormFloat64() + 1
+	}
+	aligned := sparse.FromDense(dense)
+	if bl := aligned.Blocks(1); bl.Start(16) != 2*(bl.Len()/2/2) {
+		t.Fatal("the second pair chunk does not start on a block")
+	}
+	in["chunk_starts_on_block"] = aligned
+
+	small := make([]sparse.Entry, 0, 100)
+	for i := 0; i < 100; i++ {
+		small = append(small, sparse.Entry{Index: 1 + 30*i + r.Intn(20), Value: r.NormFloat64()})
+	}
+	f, err := sparse.New(3000, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in["no_round_at_k1000"] = f
+	return in
+}
+
+// pairChunkOwners returns, for the first round's pair chunks at 2, 3 and
+// 8 workers, the entry that owns each chunk's first I₀ node: the first
+// entry whose covered points reach that node's right endpoint.
+func pairChunkOwners(f *sparse.Func) []int {
+	p, _ := oracleInitialState(f)
+	es := f.Entries()
+	pairs := len(p) / 2
+	var owners []int
+	for _, w := range []int{2, 3, 8} {
+		nc := parallel.NumChunks(pairs, min(w, pairs/parallel.MinGrain))
+		for c := 1; c < nc; c++ {
+			hi := p[2*(c*pairs/nc)].Hi
+			owners = append(owners, sort.Search(len(es), func(j int) bool { return es[j].Index+1 >= hi }))
+		}
+	}
+	return owners
 }
 
 func sameResult(t *testing.T, label string, a, b Result) {

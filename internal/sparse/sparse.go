@@ -162,39 +162,18 @@ func (f *Func) L2Norm() float64 {
 // iⱼ, iⱼ+1 past iⱼ₋₁+1, the last point entry j−1 covered. The singleton at
 // iⱼ+1 holds entry j+1's value when that entry sits there, and the last
 // entry also owns the trailing gap. What an entry owns depends only on
-// its neighbours, so the entries are cut into one chunk per worker (up to
-// `workers`, ≤ 0 meaning all cores as in parallel.Resolve, with at least
-// parallel.MinGrain entries each): a parallel count pass, a prefix sum
-// over the chunks and a write pass build the nodes at their exact size,
-// 24 bytes per interval (24 MB for a dense 2^20-point input). The output
-// does not depend on the worker count, and every node's sums are built
-// with StatsFor's arithmetic (from zero, Sum += v and SumSq += v*v), so
-// the bits match too.
+// its neighbours, so I₀ is counted by blocks of entries (Blocks, with
+// `workers` as in parallel.Resolve), and this function writes every block
+// through Blocks.Write into one slice of exact size, 24 bytes per interval
+// (24 MB for a dense 2^20-point input). The output does not depend on the
+// worker count, and every node's sums are built with StatsFor's arithmetic
+// (from zero, Sum += v and SumSq += v*v), so the bits match too.
+//
+// ConstructHistogramFast, the hierarchy and InitialPartition call it.
+// ConstructHistogram holds all of I₀ only when it runs no round: its first
+// round regenerates I₀ a block at a time through the same Blocks.Write.
 func (f *Func) InitialState(workers int) []Node {
-	s := len(f.entries)
-	if s == 0 {
-		return []Node{{Hi: f.n}}
-	}
-	w := max(1, min(parallel.Resolve(workers), s/parallel.MinGrain))
-	off := make([]int, w+1)
-	parallel.ForChunks(w, s, w, func(ci, lo, hi int) {
-		off[ci+1] = f.countOwned(lo, hi)
-	})
-	for ci := 1; ci <= w; ci++ {
-		off[ci] += off[ci-1]
-	}
-	nodes := make([]Node, off[w])
-	// The write pass runs its chunks on the calling goroutine. It follows
-	// the largest allocations of a fit, where a collection is likely to
-	// start, and with few Ps the collector marks only on a P that passes
-	// through the scheduler. Parallel writers held every P and stalled the
-	// mark into the merging rounds, whose allocations then counted as live
-	// and raised the next heap goal: back-to-back 2^20-point fits on 2 vCPUs
-	// peaked at up to 383 MB resident, against 291 MB with this pass serial.
-	parallel.ForChunks(1, s, w, func(ci, lo, hi int) {
-		f.writeOwned(lo, hi, nodes[off[ci]:off[ci+1]])
-	})
-	return nodes
+	return f.Blocks(workers).Nodes()
 }
 
 // InitialPartition returns the intervals of InitialState, built serially.
@@ -209,8 +188,91 @@ func (f *Func) InitialPartition() interval.Partition {
 	return p
 }
 
+// BlockEntries is the number of entries in one block of Blocks.
+const BlockEntries = 512
+
+// MaxBlockNodes bounds the I₀ nodes one block owns: four per entry (a
+// zero gap, iⱼ−1, iⱼ and iⱼ+1) and the trailing gap.
+const MaxBlockNodes = 4*BlockEntries + 1
+
+// Blocks is I₀ counted but not written: the entries cut into blocks of
+// BlockEntries and the I₀ index of each block's first node. Each block's
+// nodes can then be written on their own, so a caller can regenerate I₀
+// a block at a time into a small window instead of holding all of it.
+// Every entry below n owns at least the singleton after it, so only a
+// last block holding just an entry at n, whose point the entry before
+// covered, owns no node.
+type Blocks struct {
+	f *Func
+	// off[b] is the I₀ index of block b's first node; the last element
+	// is |I₀|. A function with no entries has one block, which owns the
+	// whole domain.
+	off []int
+}
+
+// Blocks counts the I₀ nodes of every block, in parallel over up to
+// `workers` chunks of blocks (≤ 0 means all cores, as in
+// parallel.Resolve; at least parallel.MinGrain entries each). The pass is
+// short, so it cannot hold the Ps long enough to stall a collection (see
+// Nodes): it allocates one int per block, and a block of consecutive
+// entries costs it two reads.
+func (f *Func) Blocks(workers int) Blocks {
+	s := len(f.entries)
+	nb := max(1, (s+BlockEntries-1)/BlockEntries)
+	off := make([]int, nb+1)
+	w := max(1, min(parallel.Resolve(workers), s/parallel.MinGrain))
+	parallel.ForChunks(w, nb, w, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			off[b+1] = f.countOwned(b*BlockEntries, min((b+1)*BlockEntries, s))
+		}
+	})
+	for b := 1; b <= nb; b++ {
+		off[b] += off[b-1]
+	}
+	return Blocks{f: f, off: off}
+}
+
+// Len returns |I₀|.
+func (bl Blocks) Len() int { return bl.off[len(bl.off)-1] }
+
+// Find returns the block that owns I₀ node t, 0 ≤ t < Len().
+func (bl Blocks) Find(t int) int {
+	return sort.Search(len(bl.off)-1, func(b int) bool { return bl.off[b+1] > t })
+}
+
+// Start returns the I₀ index of block b's first node.
+func (bl Blocks) Start(b int) int { return bl.off[b] }
+
+// HiBefore returns the right endpoint of the I₀ node before block b's
+// first node: 0 for the first block.
+func (bl Blocks) HiBefore(b int) int { return bl.f.coveredBefore(b * BlockEntries) }
+
+// Write writes block b's nodes to the front of nodes, which must hold
+// them (MaxBlockNodes always does), and returns how many it wrote.
+func (bl Blocks) Write(b int, nodes []Node) int {
+	return bl.f.writeOwned(b*BlockEntries, min((b+1)*BlockEntries, len(bl.f.entries)), nodes)
+}
+
+// Nodes writes all of I₀ into one slice of exact size.
+func (bl Blocks) Nodes() []Node {
+	nodes := make([]Node, bl.Len())
+	// The write runs on the calling goroutine. It follows the largest
+	// allocations of a fit, where a collection is likely to start, and
+	// with few Ps the collector marks only on a P that passes through the
+	// scheduler. Parallel writers held every P and stalled the mark into
+	// the merging rounds, whose allocations then counted as live and
+	// raised the next heap goal: back-to-back 2^20-point fits on 2 vCPUs
+	// peaked at up to 383 MB resident, against 291 MB with this pass
+	// serial.
+	for b := range len(bl.off) - 1 {
+		bl.Write(b, nodes[bl.off[b]:])
+	}
+	return nodes
+}
+
 // coveredBefore returns the last point covered by the relevant indices of
-// entries[:j] (0 for j = 0). It never exceeds n for a chunk start j < s.
+// entries[:j] (0 for j = 0), which is also the right endpoint of the last
+// I₀ node they own. It never exceeds n for j < s.
 func (f *Func) coveredBefore(j int) int {
 	if j == 0 {
 		return 0
@@ -218,49 +280,90 @@ func (f *Func) coveredBefore(j int) int {
 	return f.entries[j-1].Index + 1
 }
 
-// countOwned returns the number of I₀ intervals entries[lo:hi] own.
+// countOwned returns the number of I₀ intervals entries[lo:hi] own,
+// following writeOwned's steps.
 func (f *Func) countOwned(lo, hi int) int {
+	es := f.entries
 	prev := f.coveredBefore(lo)
 	c := 0
-	for _, e := range f.entries[lo:hi] {
-		first := max(e.Index-1, prev+1)
-		last := min(e.Index+1, f.n)
-		if first > prev+1 {
-			c++ // zero gap
+	for j := lo; j < hi; j++ {
+		i := es[j].Index
+		if i > prev {
+			c += min(i-prev, 3) // [gap,] [i−1,] i
 		}
-		c += last - first + 1 // new singletons, possibly none
-		prev = last
+		run := f.runAfter(j, hi)
+		c += run
+		j += run
+		i += run
+		if i < f.n {
+			c++
+		}
+		prev = min(i+1, f.n)
 	}
-	if hi == len(f.entries) && prev < f.n {
+	if hi == len(es) && prev < f.n {
 		c++ // trailing gap
 	}
 	return c
 }
 
+// runAfter returns how many of the entries after entry j, up to entry
+// hi−1, sit at consecutive points right after it. Indices strictly
+// increase, so entries j through j+r are consecutive exactly when
+// entry j+r sits r points after entry j, and a run that reaches entry
+// hi−1, the whole block on a dense input, costs one comparison.
+func (f *Func) runAfter(j, hi int) int {
+	es := f.entries
+	i := es[j].Index
+	if r := hi - 1 - j; es[hi-1].Index-i == r {
+		return r
+	}
+	r := 0
+	for es[j+1+r].Index == i+1+r {
+		r++
+	}
+	return r
+}
+
 // writeOwned writes the nodes of the I₀ intervals entries[lo:hi] own into
-// nodes, which countOwned sized exactly.
-func (f *Func) writeOwned(lo, hi int, nodes []Node) {
+// nodes, which must hold them, and returns how many it wrote.
+func (f *Func) writeOwned(lo, hi int, nodes []Node) int {
 	es := f.entries
 	prev := f.coveredBefore(lo)
 	o := 0
 	for j := lo; j < hi; j++ {
 		i := es[j].Index
-		first := max(i-1, prev+1)
-		if first > prev+1 { // zero gap [prev+1, i−2]
-			nodes[o] = Node{Hi: first - 1}
-			o++
-		}
-		if first < i { // i−1 is new and, lying past entry j−1, zero
-			nodes[o] = Node{Hi: i - 1}
-			o++
-		}
-		if first <= i { // entry j's own point, unless entry j−1 covered it
+		if i > prev { // entry j's own point is new
+			first := max(i-1, prev+1)
+			if first > prev+1 { // zero gap [prev+1, i−2]
+				nodes[o] = Node{Hi: first - 1}
+				o++
+			}
+			if first < i { // i−1 is new and, lying past entry j−1, zero
+				nodes[o] = Node{Hi: i - 1}
+				o++
+			}
 			nd := Node{Hi: i}
 			v := es[j].Value
 			nd.Sum += v
 			nd.SumSq += v * v
 			nodes[o] = nd
 			o++
+		}
+		// A run of entries at consecutive points: the singleton after
+		// each entry holds the next entry, whose own point is then
+		// covered, so every later entry of the run adds one node, its own
+		// point. This loop is all a dense input runs.
+		if run := f.runAfter(j, hi); run > 0 {
+			dst := nodes[o : o+run]
+			for r, e := range es[j+1 : j+1+run] {
+				nd := Node{Hi: e.Index}
+				nd.Sum += e.Value
+				nd.SumSq += e.Value * e.Value
+				dst[r] = nd
+			}
+			o += run
+			j += run
+			i += run
 		}
 		if i < f.n { // i+1, which holds entry j+1 if that entry sits there
 			nd := Node{Hi: i + 1}
@@ -276,7 +379,9 @@ func (f *Func) writeOwned(lo, hi int, nodes []Node) {
 	}
 	if hi == len(es) && prev < f.n {
 		nodes[o] = Node{Hi: f.n}
+		o++
 	}
+	return o
 }
 
 // Stat aggregates the statistics of q restricted to an interval that make

@@ -261,6 +261,10 @@ func Create(dir string, opts Options, writeSnapshot func(io.Writer) error) (*Log
 // truncates a torn tail on the last segment, and reopens the log for
 // appending. An error from restore or apply stops recovery and is returned.
 // When Open fails, whatever restore and apply built must be discarded.
+//
+// A record's Points and Weights are decoded into buffers the next record
+// reuses, so apply must copy whatever it keeps of them; Sharded.AddBatch,
+// the durable engine's apply, copies every point and weight it takes.
 func Open(dir string, opts Options, restore func(io.Reader) error, apply func(Record) error) (*Log, OpenInfo, error) {
 	var info OpenInfo
 	seq, err := readManifest(filepath.Join(dir, manifestName))
@@ -274,6 +278,12 @@ func Open(dir string, opts Options, restore func(io.Reader) error, apply func(Re
 	}
 	if len(segs) == 0 {
 		return nil, info, fmt.Errorf("wal: %s has a manifest but no segments", dir)
+	}
+	// A checkpoint deletes a segment only once the next one starts at or
+	// before its seq, so the first segment left never starts past it.
+	if first := segs[0]; first.start > seq {
+		return nil, info, fmt.Errorf("wal: records %d–%d are missing: the checkpoint covers %d and the first segment, %s, follows record %d",
+			seq+1, first.start, seq, filepath.Base(first.path), first.start)
 	}
 	snap, err := os.Open(snapshotPath(dir, seq))
 	if err != nil {
@@ -790,13 +800,19 @@ func scanSegment(path string, fn func(rec Record, end int64) error) (scanResult,
 // number is reported as a torn tail: the scan stops there, and goodBytes
 // ends the intact prefix. fn, when non-nil, sees every intact record with
 // the offset its frame ends at, and an error from it stops the scan.
+//
+// One codec.Reader decodes every record, and each record's points and
+// weights are decoded into buffers the next record reuses, so fn must not
+// keep them.
 func scanRecords(r io.Reader, fn func(rec Record, end int64) error) (scanResult, error) {
 	br := bufio.NewReader(r)
+	dec := codec.NewReader(br)
 	var res scanResult
 	var points []int
 	var weights []float64
 	for {
-		rec, size, err := readRecord(br, &points, &weights)
+		dec.Reset(br)
+		rec, size, err := readRecord(dec, &points, &weights)
 		if err == io.EOF {
 			return res, nil
 		}
@@ -821,13 +837,13 @@ func scanRecords(r io.Reader, fn func(rec Record, end int64) error) (scanResult,
 	}
 }
 
-// readRecord decodes one TagWALRecord envelope and returns it with its
-// frame's length: the codec Reader reads no byte past the envelope, so
-// after Close its Len is exactly the frame. io.EOF means a clean end of
-// segment (EOF before any header byte); any other failure is a torn or
-// corrupt record.
-func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, int64, error) {
-	dec := codec.NewReader(r)
+// readRecord decodes one TagWALRecord envelope with dec, fresh or just
+// Reset, and returns it with its frame's length: the codec Reader reads no
+// byte past the envelope, so after Close its Len is exactly the frame. The
+// points and weights are decoded into *points and *weights, which grow
+// only when too short. io.EOF means a clean end of segment (EOF before any
+// header byte); any other failure is a torn or corrupt record.
+func readRecord(dec *codec.Reader, points *[]int, weights *[]float64) (Record, int64, error) {
 	tag, err := dec.Header()
 	if errors.Is(err, io.EOF) {
 		return Record{}, 0, io.EOF
@@ -854,7 +870,7 @@ func readRecord(r io.Reader, points *[]int, weights *[]float64) (Record, int64, 
 	case 0:
 		rec.Weights = nil
 	case 1:
-		ws, err := dec.PackedFloat64s(nil)
+		ws, err := dec.PackedFloat64s(*weights)
 		if err != nil {
 			return Record{}, 0, err
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -382,27 +383,65 @@ func TestWALFailedRecoveryLeavesDirUntouched(t *testing.T) {
 	if err := os.Truncate(seg6, offs[4]+(offs[5]-offs[4])/2); err != nil {
 		t.Fatal(err)
 	}
-	files := func() map[string]string {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string]string, len(ents))
-		for _, e := range ents {
-			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[e.Name()] = string(b)
-		}
-		return out
-	}
-	before := files()
+	before := dirFiles(t, dir)
 	if l2, _, _, err := openLog(dir, Options{}); err == nil {
 		l2.Close()
 		t.Fatal("Open accepted corruption before the tail")
 	}
-	if after := files(); !reflect.DeepEqual(after, before) {
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a failed Open changed the directory")
+	}
+}
+
+// dirFiles returns every file in dir by name, with its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+// TestWALOpenRefusesMissingFirstSegment: with the first segment gone, the
+// checkpoint plus the segments left cannot cover records 1–6. Open must
+// refuse, naming the missing records, rather than replay 7–10 over
+// snapshot 0, and must leave every file as it was.
+func TestWALOpenRefusesMissingFirstSegment(t *testing.T) {
+	dir := t.TempDir()
+	l := mustCreate(t, dir, Options{})
+	appendN(t, l, 6, true)
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 4, false)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(segmentPath(dir, 0)); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	l2, _, got, err := openLog(dir, Options{})
+	if err == nil {
+		l2.Close()
+		t.Fatalf("Open recovered without records 1–6 and applied %d records", len(got.recs))
+	}
+	if !strings.Contains(err.Error(), "records 1–6 are missing") {
+		t.Fatalf("Open failed with %q, which does not name records 1–6", err)
+	}
+	if got.snap != "" || len(got.recs) > 0 {
+		t.Fatalf("Open restored %q and applied %d records before refusing", got.snap, len(got.recs))
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatal("a failed Open changed the directory")
 	}
 }
