@@ -107,12 +107,13 @@ type Result struct {
 // previous node's Hi, and a merge keeps the later Hi and adds the sums,
 // keeping every round linear in the number of live intervals. A pass over
 // a chunk that needs lengths reads the Hi of the node before the chunk;
-// the passes read nodes and write next, so no pass writes that slot.
+// that is the error pass, and no pass writes nodes before it ends.
 //
-// ConstructHistogram's first round reads no nodes: it regenerates I₀ a
-// block at a time into small windows (firstRound), so round one's output
-// is the first node slice a fit holds, and round two allocates its own
-// buffer, the one every later round swaps with.
+// A pair round merges in place; groupRound writes next and swaps it with
+// nodes. ConstructHistogram's first round reads no nodes: it regenerates
+// I₀ a block at a time into small windows (firstRound) and writes a fresh
+// slice, the only node slice a fit allocates, which the later rounds
+// merge in place.
 //
 // All scratch buffers are owned by the state and reused round after round:
 // after the first round a serial merging round performs no heap allocation
@@ -143,6 +144,7 @@ type mergeState struct {
 	// a fresh closure per round would escape into the worker goroutines
 	// and put an allocation back on the per-round path.
 	fnPairErrs, fnPairOff, fnPairWrite    func(ci, lo, hi int)
+	fnPairMoveDown                        func(ci, lo, hi int)
 	fnGroupErrs, fnGroupLen, fnGroupWrite func(ci, lo, hi int)
 	fnCount                               func(ci, lo, hi int)
 }
@@ -187,7 +189,13 @@ func (m *mergeState) initPasses() {
 		m.outTotal += (hi - lo) + m.chunkGreater[ci] + m.chunkTieUse[ci]
 	}
 	m.fnPairWrite = func(ci, lo, hi int) {
-		m.writePairs(m.nodes[2*lo:2*hi], m.errs[lo:hi], m.chunkOff[ci], m.chunkTieUse[ci])
+		writePairs(m.nodes, m.nodes[2*lo:2*hi], m.errs[lo:hi], m.cut, 2*lo, m.chunkTieUse[ci])
+	}
+	m.fnPairMoveDown = func(ci, lo, hi int) {
+		if off := m.chunkOff[ci]; off < 2*lo {
+			n := (hi - lo) + m.chunkGreater[ci] + m.chunkTieUse[ci]
+			copy(m.nodes[off:off+n], m.nodes[2*lo:])
+		}
 	}
 	m.initGroupPasses()
 }
@@ -203,13 +211,14 @@ func pairErrs(prev int, pairs []sparse.Node, errs []float64) {
 	}
 }
 
-// writePairs is the write kernel of a pair round: from m.next[o] on it
+// writePairs is the write kernel of a pair round: from next[o] on it
 // writes each pair's successors, both nodes of a pair that stays split
-// and the merged node otherwise, with errs the pairs' errors and tieLeft
-// the ties at the cut still allowed to stay split. It returns the next
-// offset and the ties left.
-func (m *mergeState) writePairs(pairs []sparse.Node, errs []float64, o, tieLeft int) (int, int) {
-	next, cut := m.next, m.cut
+// and the merged node otherwise, with errs the pairs' errors, cut the
+// round's cut and tieLeft the ties at the cut still allowed to stay split.
+// It returns the next offset and the ties left. next may hold pairs at
+// index o or later: a pair's successors never outnumber the nodes read
+// by then, so no write reaches a node still to be read.
+func writePairs(next, pairs []sparse.Node, errs []float64, cut float64, o, tieLeft int) (int, int) {
 	for u, e := range errs {
 		tie := e == cut && tieLeft > 0
 		if e > cut || tie {
@@ -333,24 +342,34 @@ func (m *mergeState) cutAndTieBudgets(keep, w, nc int) {
 // current intervals, keep the `keep` pairs with the largest merge errors
 // split, and merge every other pair. An unpaired trailing interval is
 // carried over. It reports the number of live intervals after the round.
+//
+// The round merges in place. Each chunk writes its successors over its
+// own pairs from the chunk's first node on, and a serial pass then moves
+// the chunks down to their offsets in chunk order. Every chunk's offset is
+// at or before its first node, so a move never overwrites a chunk still
+// to be moved.
 func (m *mergeState) pairRound(keep int) int {
 	s := len(m.nodes)
-	outLen := m.pairPasses(s, keep, m.fnPairErrs, m.fnPairWrite)
-	if s%2 == 1 { // trailing unpaired interval
-		m.next[outLen-1] = m.nodes[s-1]
+	w, nc, outLen := m.pairPlan(s, keep, m.fnPairErrs)
+	parallel.ForChunks(w, s/2, nc, m.fnPairWrite)
+	parallel.ForChunks(1, s/2, nc, m.fnPairMoveDown)
+	if s%2 == 1 { // trailing unpaired interval, past every chunk's output
+		m.nodes[outLen-1] = m.nodes[s-1]
 	}
-	m.nodes, m.next = m.next[:outLen], m.nodes
-	return len(m.nodes)
+	m.nodes = m.nodes[:outLen]
+	return outLen
 }
 
-// pairPasses runs a pair round over s live intervals in three chunked
-// passes over the pairs — errsPass computes the merge errors into m.errs,
-// the cut and tie budgets are counted per chunk, and writePass writes the
-// next generation into m.next at precomputed offsets — so any number of
-// workers produces the same interval sequence the serial loop historically
-// did, bit for bit. It returns the output length; the caller writes the
-// unpaired trailing interval of an odd s into its last slot.
-func (m *mergeState) pairPasses(s, keep int, errsPass, writePass func(ci, lo, hi int)) int {
+// pairPlan runs the first two of a pair round's three chunked passes over
+// the pairs of s live intervals — errsPass computes the merge errors into
+// m.errs, and the cut, the tie budgets and each chunk's output offset are
+// counted per chunk — so that a write pass over the same chunks, run by
+// the caller with the returned worker and chunk counts, makes the same
+// interval sequence for any number of workers that the serial loop
+// historically did, bit for bit. It returns those counts and the output
+// length; the caller writes the unpaired trailing interval of an odd s
+// into its last slot.
+func (m *mergeState) pairPlan(s, keep int, errsPass func(ci, lo, hi int)) (w, nc, outLen int) {
 	pairs := s / 2
 	if keep >= pairs {
 		keep = pairs - 1 // guarantee progress: at least one pair merges
@@ -359,8 +378,8 @@ func (m *mergeState) pairPasses(s, keep int, errsPass, writePass func(ci, lo, hi
 		keep = 0
 	}
 
-	w := m.roundWorkers(pairs)
-	nc := parallel.NumChunks(pairs, w)
+	w = m.roundWorkers(pairs)
+	nc = parallel.NumChunks(pairs, w)
 	m.errs = grow(m.errs, pairs)
 	parallel.ForChunks(w, pairs, nc, errsPass)
 
@@ -368,11 +387,7 @@ func (m *mergeState) pairPasses(s, keep int, errsPass, writePass func(ci, lo, hi
 
 	m.outTotal = 0
 	parallel.ForChunks(1, pairs, nc, m.fnPairOff)
-	outLen := m.outTotal + s%2
-	m.next = grow(m.next, outLen)
-
-	parallel.ForChunks(w, pairs, nc, writePass)
-	return outLen
+	return w, nc, m.outTotal + s%2
 }
 
 // firstRound is pairRound over I₀ without I₀: each chunk of pairs
@@ -405,15 +420,17 @@ func (m *mergeState) firstRound(bl sparse.Blocks, keep int) {
 		o, tieLeft := m.chunkOff[ci], m.chunkTieUse[ci]
 		for u := lo; u < hi; {
 			pairs, _ := w.pairs(hi - u)
-			o, tieLeft = m.writePairs(pairs, m.errs[u:u+len(pairs)/2], o, tieLeft)
+			o, tieLeft = writePairs(m.next, pairs, m.errs[u:u+len(pairs)/2], m.cut, o, tieLeft)
 			u += len(pairs) / 2
 		}
 	}
-	outLen := m.pairPasses(s, keep, errsPass, writePass)
+	w, nc, outLen := m.pairPlan(s, keep, errsPass)
+	m.next = make([]sparse.Node, outLen)
+	parallel.ForChunks(w, s/2, nc, writePass)
 	if s%2 == 1 { // trailing unpaired interval
 		m.next[outLen-1] = window(0, s-1).nodes[0]
 	}
-	m.nodes, m.next = m.next[:outLen], nil
+	m.nodes, m.next = m.next, nil
 }
 
 // i0Window holds the I₀ nodes a pass over a range of pairs has not read

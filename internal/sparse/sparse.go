@@ -81,6 +81,17 @@ func FromSorted(n int, entries []Entry) (*Func, error) {
 // sparse representation, dropping exact zeros (−0 too; NaN is kept).
 // Every point is stored at the next free slot, which advances only past a
 // nonzero, so the loop has no branch around its store.
+//
+// FromDense is never inlined. In back-to-back fits a collection often
+// starts at its allocation, and the collector stops the fill loop by a
+// signal and scans the stopped frame conservatively: any word that looks
+// like a pointer keeps its target. Inlined, that frame is the caller's,
+// whose dead slots may still point at the previous iteration's input; in
+// perfbench's fit warm-up such collections kept the previous 16 MB of
+// entries live in some runs and not in others, moving the next heap goal
+// by 32 MB and the peak resident set with it.
+//
+//go:noinline
 func FromDense(q []float64) *Func {
 	es := make([]Entry, len(q))
 	j := 0
