@@ -61,21 +61,37 @@ func AppendInts(dst []byte, xs []int) []byte {
 // length prefix, the first element as a varint, and successive gaps as
 // uvarints. It panics if the sequence is not strictly increasing — encoders
 // only pass validated boundaries, and a silent wrap would corrupt the
-// stream. Writer.DeltaInts writes the same bytes through this function.
+// stream. Writer.DeltaInts writes the same bytes through deltaEncoder.
 func AppendDeltaInts(dst []byte, xs []int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(xs)))
-	prev := 0
-	for i, x := range xs {
-		if i == 0 {
-			dst = binary.AppendVarint(dst, int64(x))
-		} else {
-			if x <= prev {
-				panic(fmt.Sprintf("codec: DeltaInts not strictly increasing: %d after %d", x, prev))
-			}
-			dst = binary.AppendUvarint(dst, uint64(x-prev))
+	var d deltaEncoder
+	return d.append(dst, xs)
+}
+
+// deltaEncoder is the one encoder of AppendDeltaInts's layout after its
+// length prefix. It keeps the last element, so Writer can encode a
+// sequence a run at a time.
+type deltaEncoder struct {
+	prev    int
+	started bool
+}
+
+// append appends the run xs: the sequence's first element as a varint,
+// every later one as its gap.
+func (d *deltaEncoder) append(dst []byte, xs []int) []byte {
+	if len(xs) > 0 && !d.started {
+		dst = binary.AppendVarint(dst, int64(xs[0]))
+		d.prev, d.started, xs = xs[0], true, xs[1:]
+	}
+	prev := d.prev
+	for _, x := range xs {
+		if x <= prev {
+			panic(fmt.Sprintf("codec: DeltaInts not strictly increasing: %d after %d", x, prev))
 		}
+		dst = binary.AppendUvarint(dst, uint64(x-prev))
 		prev = x
 	}
+	d.prev = prev
 	return dst
 }
 
@@ -91,10 +107,22 @@ func leadingZeroBytes(x uint64) int { return bits.LeadingZeros64(x|1) / 8 }
 // exponent, and high mantissa bits, so this typically stores 6–7 bytes per
 // value instead of 8 while remaining exactly bit-identical on decode.
 // Control nibbles are packed two per byte ahead of their values' payloads.
-// Writer.PackedFloat64s writes the same bytes through this function.
+// Writer.PackedFloat64s writes the same bytes through packedEncoder.
 func AppendPackedFloat64s(dst []byte, fs []float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(fs)))
-	var prev uint64
+	var p packedEncoder
+	return p.append(dst, fs)
+}
+
+// packedEncoder is the one encoder of AppendPackedFloat64s's layout after
+// its length prefix. It keeps the last value's bits, so Writer can encode
+// a sequence a run at a time; every run but the last has even length.
+type packedEncoder struct{ prev uint64 }
+
+// append appends the run fs a pair at a time. A lone last value takes
+// control nibble 8 for the value it lacks.
+func (p *packedEncoder) append(dst []byte, fs []float64) []byte {
+	prev := p.prev
 	for i := 0; i < len(fs); i += 2 {
 		x1 := math.Float64bits(fs[i]) ^ prev
 		prev = math.Float64bits(fs[i])
@@ -108,10 +136,9 @@ func AppendPackedFloat64s(dst []byte, fs []float64) []byte {
 		}
 		dst = append(dst, byte(lz1<<4)|byte(lz2))
 		dst = appendBigEndianTail(dst, x1, 8-lz1)
-		if i+1 < len(fs) {
-			dst = appendBigEndianTail(dst, x2, 8-lz2)
-		}
+		dst = appendBigEndianTail(dst, x2, 8-lz2)
 	}
+	p.prev = prev
 	return dst
 }
 

@@ -242,3 +242,48 @@ func TestAppendDeltaIntsAndFloat64MatchWriter(t *testing.T) {
 	}()
 	AppendDeltaInts(nil, []int{3, 3})
 }
+
+// writeSizes records the length of every Write.
+type writeSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestWriterSequencesInBoundedWrites: the Writer encodes a sequence a run
+// of 512 elements at a time and writes it out in pieces of at most 64 KiB,
+// so its scratch stays bounded whatever the length. Across every run
+// boundary, and past many flushes, it must still emit the Append* bytes.
+func TestWriterSequencesInBoundedWrites(t *testing.T) {
+	r := rngLike(64)
+	for _, n := range []int{511, 512, 513, 1024, 1025, 100_001} {
+		xs := make([]int, n)
+		fs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 1000*i + int(r()%1000)
+			fs[i] = float64(r()) / float64(1+r()%1000)
+		}
+		var w writeSizes
+		enc := NewWriter(&w, TagHistogram)
+		enc.DeltaInts(xs)
+		enc.PackedFloat64s(fs)
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dst := AppendFrameHeader(nil, TagHistogram)
+		dst = AppendDeltaInts(dst, xs)
+		dst = AppendPackedFloat64s(dst, fs)
+		if dst = FinishFrame(dst, 0); !bytes.Equal(dst, w.Bytes()) {
+			t.Fatalf("n = %d: the Writer's %d bytes differ from the append path's %d", n, w.Len(), len(dst))
+		}
+		for _, size := range w.sizes {
+			if size > maxAhead {
+				t.Fatalf("n = %d: the Writer wrote %d bytes at once, more than %d", n, size, maxAhead)
+			}
+		}
+	}
+}

@@ -137,8 +137,8 @@ type Writer struct {
 	n   int64
 	err error
 	buf [binary.MaxVarintLen64]byte
-	// scratch holds a sequence encoded by its Append* twin before one raw
-	// write.
+	// scratch holds the next piece of a sequence, encoded by the encoder
+	// its Append* twin runs, before one raw write.
 	scratch []byte
 }
 
@@ -205,15 +205,63 @@ func (e *Writer) Float64s(fs []float64) {
 // PackedFloat64s appends values in AppendPackedFloat64s's XOR-packed
 // layout.
 func (e *Writer) PackedFloat64s(fs []float64) {
-	e.scratch = AppendPackedFloat64s(e.scratch[:0], fs)
-	e.raw(e.scratch)
+	e.PackedFloat64sFunc(len(fs), func(i int) float64 { return fs[i] })
+}
+
+// PackedFloat64sFunc writes the n values at(0), …, at(n−1) as
+// PackedFloat64s does, for a sequence not held in one slice.
+func (e *Writer) PackedFloat64sFunc(n int, at func(int) float64) {
+	e.Uvarint(uint64(n))
+	var p packedEncoder
+	var run [seqRun]float64
+	for i := 0; i < n; i += seqRun {
+		m := min(n-i, seqRun)
+		for j := range m {
+			run[j] = at(i + j)
+		}
+		e.scratch = p.append(e.scratch, run[:m])
+		e.flush(maxAhead - seqRun/2*maxPairLen)
+	}
+	e.flush(0)
 }
 
 // DeltaInts appends a strictly increasing integer sequence in
 // AppendDeltaInts's layout, panicking like it on a non-increasing one.
 func (e *Writer) DeltaInts(xs []int) {
-	e.scratch = AppendDeltaInts(e.scratch[:0], xs)
-	e.raw(e.scratch)
+	e.DeltaIntsFunc(len(xs), func(i int) int { return xs[i] })
+}
+
+// DeltaIntsFunc writes the n-element sequence at(0), …, at(n−1) as
+// DeltaInts does, for a sequence not held in one slice.
+func (e *Writer) DeltaIntsFunc(n int, at func(int) int) {
+	e.Uvarint(uint64(n))
+	var d deltaEncoder
+	var run [seqRun]int
+	for i := 0; i < n; i += seqRun {
+		m := min(n-i, seqRun)
+		for j := range m {
+			run[j] = at(i + j)
+		}
+		e.scratch = d.append(e.scratch, run[:m])
+		e.flush(maxAhead - seqRun*binary.MaxVarintLen64)
+	}
+	e.flush(0)
+}
+
+// seqRun is how many elements a Writer sequence method reads and encodes
+// at a time. It is even, so a packed run never ends with a lone value
+// before the sequence does.
+const seqRun = 512
+
+// flush writes the scratch once it holds more than limit bytes. A
+// sequence method flushes before its next run could take the scratch past
+// maxAhead, so the scratch stays within 64 KiB whatever the sequence's
+// length.
+func (e *Writer) flush(limit int) {
+	if len(e.scratch) > limit {
+		e.raw(e.scratch)
+		e.scratch = e.scratch[:0]
+	}
 }
 
 // Len returns the number of bytes written so far (header included; footer

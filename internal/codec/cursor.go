@@ -187,6 +187,60 @@ func (c *cursor) FiniteFloat64() (float64, error) {
 	return finite(x)
 }
 
+// The sequence decoders below decode a window at a time. A tight loop
+// runs while the window holds a whole worst-case element (10 bytes for a
+// varint, 17 for a packed pair, 8 for a raw float) and the result has room;
+// the per-element path above, which refills, takes over until the window
+// holds a few whole elements again. An element that fails a check in the tight
+// loop is left unread for the per-element path, which reports it, so both
+// paths accept and reject exactly the same bytes.
+//
+// A result is dst when dst holds the declared length, and otherwise starts
+// at what the window backs and grows by doubling, capped at the declared
+// length, once the next element's first byte is in the window: a valid
+// sequence ends with cap == len, and a hostile length costs at most twice
+// what the bytes read can back.
+
+// resume is how many worst-case elements the window must hold before the
+// per-element path hands back to the tight loop. A Reader's window can be
+// as short as the promise of one byte per element, and a loop entered for
+// an element or two costs more than it saves.
+const resume = 4
+
+// seqStart returns the slice a k-element sequence decodes into: dst when
+// it holds k elements, else a new one sized to the backed elements that
+// the window holds, at most k.
+func seqStart[T any](dst []T, k, backed int) []T {
+	if cap(dst) >= k {
+		return dst[:0]
+	}
+	return make([]T, 0, min(k, backed))
+}
+
+// grow doubles a full xs's capacity, capped at k, once width bytes of its
+// next element are in the window; promise is what the payload guarantees
+// from here, as need's is. An even capacity stays even, so packed pairs
+// never straddle a growth.
+func grow[T any](c *cursor, xs []T, k, width, promise int) ([]T, error) {
+	if err := c.need(width, promise); err != nil {
+		return nil, err
+	}
+	bigger := make([]T, len(xs), min(k, max(2*cap(xs), 2)))
+	copy(bigger, xs)
+	return bigger, nil
+}
+
+// expBits masks a float64's exponent; all ones is NaN or ±Inf.
+const expBits = 0x7ff << 52
+
+// lowBits and highBits are each byte's low and high bit in a word of
+// eight: a word of bytes below 0x80, none of them zero, has neither x nor
+// x − lowBits meet highBits.
+const (
+	lowBits  = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
+
 // Float64s reads a length-prefixed float slice, every element finite.
 func (c *cursor) Float64s() ([]float64, error) {
 	k, err := c.SliceLen()
@@ -196,17 +250,39 @@ func (c *cursor) Float64s() ([]float64, error) {
 	if err := c.need(min(8*k, maxAhead), 8*k); err != nil {
 		return nil, err
 	}
-	fs := make([]float64, 0, min(k, c.avail()/8))
-	for i := range k {
-		x, err := c.bits64(8 * (k - i))
-		if err != nil {
-			return nil, err
+	fs := seqStart[float64](nil, k, c.avail()/8)
+	for len(fs) < k {
+		if len(fs) == cap(fs) {
+			if fs, err = grow(c, fs, k, 8, 8*(k-len(fs))); err != nil {
+				return nil, err
+			}
 		}
-		f, err := finite(x)
-		if err != nil {
-			return nil, err
+		b, off := c.buf, c.off
+		i, n := len(fs), min(k, cap(fs))
+		fs = fs[:n]
+		for ; i < n && off <= len(b)-8; i++ {
+			x := binary.LittleEndian.Uint64(b[off:])
+			if x&expBits == expBits {
+				break
+			}
+			fs[i] = math.Float64frombits(x)
+			off += 8
 		}
-		fs = append(fs, f)
+		c.off, fs = off, fs[:i]
+		for ; i < n; i++ {
+			x, err := c.bits64(8 * (k - i))
+			if err != nil {
+				return nil, err
+			}
+			f, err := finite(x)
+			if err != nil {
+				return nil, err
+			}
+			fs = append(fs, f)
+			if c.avail() >= resume*8 {
+				break
+			}
+		}
 	}
 	return fs, nil
 }
@@ -223,16 +299,37 @@ func (c *cursor) Ints(dst []int) ([]int, error) {
 	if err := c.need(min(k, maxAhead), k); err != nil {
 		return nil, err
 	}
-	xs := dst[:0]
-	if cap(dst) < k {
-		xs = make([]int, 0, min(k, c.avail()))
-	}
-	for i := range k {
-		x, err := c.int(k - i)
-		if err != nil {
-			return nil, err
+	xs := seqStart(dst, k, c.avail())
+	for len(xs) < k {
+		if len(xs) == cap(xs) {
+			if xs, err = grow(c, xs, k, 1, k-len(xs)); err != nil {
+				return nil, err
+			}
 		}
-		xs = append(xs, x)
+		b, off := c.buf, c.off
+		i, n := len(xs), min(k, cap(xs))
+		xs = xs[:n]
+		for ; i < n && off <= len(b)-binary.MaxVarintLen64; i++ {
+			u, w := uint64(b[off]), 1
+			if u >= 0x80 {
+				if u, w = binary.Uvarint(b[off:]); w <= 0 || u > MaxInt {
+					break
+				}
+			}
+			xs[i] = int(u)
+			off += w
+		}
+		c.off, xs = off, xs[:i]
+		for ; i < n; i++ {
+			x, err := c.int(k - i)
+			if err != nil {
+				return nil, err
+			}
+			xs = append(xs, x)
+			if c.avail() >= resume*binary.MaxVarintLen64 {
+				break
+			}
+		}
 	}
 	return xs, nil
 }
@@ -249,10 +346,7 @@ func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 	if err := c.need(min(k, maxAhead), k); err != nil {
 		return nil, err
 	}
-	xs := dst[:0]
-	if cap(dst) < k {
-		xs = make([]int, 0, min(k, c.avail()))
-	}
+	xs := seqStart(dst, k, c.avail())
 	// The start and every gap are bounded by MaxInt, as Int values are: a
 	// partition of any domain an engine accepts, [1, n] with n ≤ MaxInt,
 	// has right endpoints within that bound, and the overflow check below
@@ -268,22 +362,67 @@ func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 		}
 		xs = append(xs, int(v))
 	}
-	for i := 1; i < k; i++ {
-		gap, err := c.uvarint(k - i)
-		if err != nil {
-			return nil, err
+	for len(xs) < k {
+		if len(xs) == cap(xs) {
+			if xs, err = grow(c, xs, k, 1, k-len(xs)); err != nil {
+				return nil, err
+			}
 		}
-		if gap == 0 || gap > MaxInt {
-			return nil, fmt.Errorf("codec: bad sequence gap %d", gap)
+		b, off := c.buf, c.off
+		i, n := len(xs), min(k, cap(xs))
+		xs = xs[:n]
+		prev := xs[i-1]
+		for i < n && off <= len(b)-binary.MaxVarintLen64 {
+			// Eight one-byte gaps, none zero, cannot wrap a prev this low:
+			// they are summed without a check each.
+			if x := binary.LittleEndian.Uint64(b[off:]); i+8 <= n && prev <= math.MaxInt-8*0x7f &&
+				x&highBits == 0 && (x-lowBits)&highBits == 0 {
+				run := xs[i : i+8 : i+8]
+				for j := range run {
+					prev += int(x>>(8*j)) & 0x7f
+					run[j] = prev
+				}
+				i, off = i+8, off+8
+				continue
+			}
+			gap, w := uint64(b[off]), 1
+			if gap >= 0x80 {
+				if gap, w = binary.Uvarint(b[off:]); w <= 0 || gap > MaxInt {
+					break
+				}
+			}
+			next := prev + int(gap)
+			if next <= prev { // a zero gap, or overflow
+				break
+			}
+			xs[i], prev = next, next
+			i, off = i+1, off+w
 		}
-		next := xs[i-1] + int(gap)
-		if next <= xs[i-1] {
-			return nil, fmt.Errorf("codec: sequence overflow at element %d", i)
+		c.off, xs = off, xs[:i]
+		for ; i < n; i++ {
+			gap, err := c.uvarint(k - i)
+			if err != nil {
+				return nil, err
+			}
+			if gap == 0 || gap > MaxInt {
+				return nil, fmt.Errorf("codec: bad sequence gap %d", gap)
+			}
+			next := prev + int(gap)
+			if next <= prev {
+				return nil, fmt.Errorf("codec: sequence overflow at element %d", i)
+			}
+			xs, prev = append(xs, next), next
+			if c.avail() >= resume*binary.MaxVarintLen64 {
+				break
+			}
 		}
-		xs = append(xs, next)
 	}
 	return xs, nil
 }
+
+// maxPairLen is the widest packed pair: a control byte and two whole
+// values.
+const maxPairLen = 1 + 2*8
 
 // PackedFloat64s reads a sequence written by AppendPackedFloat64s into dst,
 // reallocating it only when too small, and rejects malformed control
@@ -298,42 +437,72 @@ func (c *cursor) PackedFloat64s(dst []float64) ([]float64, error) {
 	if err := c.need(min(pairs, maxAhead), pairs); err != nil {
 		return nil, err
 	}
-	fs := dst[:0]
-	if cap(dst) < k {
-		fs = make([]float64, 0, min(k, 2*c.avail()))
-	}
+	fs := seqStart(dst, k, 2*c.avail())
 	var prev uint64
-	for i := 0; i < k; i += 2 {
-		pairs := (k - i + 1) / 2
-		if err := c.need(1, pairs); err != nil {
-			return nil, err
+	for len(fs) < k {
+		if len(fs) == cap(fs) {
+			if fs, err = grow(c, fs, k, 1, (k-len(fs)+1)/2); err != nil {
+				return nil, err
+			}
 		}
-		ctrl := c.buf[c.off]
-		lz1, lz2 := int(ctrl>>4), int(ctrl&0x0f)
-		if lz1 > 8 || lz2 > 8 {
-			return nil, fmt.Errorf("codec: bad float control nibble %#02x", ctrl)
+		// Whole pairs: each value is one 8-byte big-endian load shifted
+		// down past the bytes that belong to what follows it.
+		b, off := c.buf, c.off
+		i, n := len(fs), min(k, cap(fs))
+		fs = fs[:n]
+		for ; i+1 < n && off <= len(b)-maxPairLen; i += 2 {
+			ctrl := b[off]
+			lz1, lz2 := uint(ctrl>>4), uint(ctrl&0x0f)
+			if lz1 > 8 || lz2 > 8 {
+				break
+			}
+			v1 := prev ^ binary.BigEndian.Uint64(b[off+1:])>>(8*lz1)
+			v2 := v1 ^ binary.BigEndian.Uint64(b[off+9-int(lz1):])>>(8*lz2)
+			if v1&expBits == expBits || v2&expBits == expBits {
+				break
+			}
+			fs[i], fs[i+1] = math.Float64frombits(v1), math.Float64frombits(v2)
+			prev = v2
+			off += maxPairLen - int(lz1+lz2)
 		}
-		nb1, nb2 := 8-lz1, 0
-		if i+1 < k {
-			nb2 = 8 - lz2
-		}
-		if err := c.need(1+nb1+nb2, pairs+nb1+nb2); err != nil {
-			return nil, err
-		}
-		tail := c.buf[c.off+1 : c.off+1+nb1+nb2]
-		c.off += 1 + nb1 + nb2
-		prev ^= bigEndian(tail[:nb1])
-		f, err := finite(prev)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, f)
-		if i+1 < k {
-			prev ^= bigEndian(tail[nb1:])
-			if f, err = finite(prev); err != nil {
+		c.off, fs = off, fs[:i]
+		// Pairs across the window's end, a lone last value, or a pair that
+		// fails a check. An odd n is k, so both values of a pair fit.
+		for ; i < n; i += 2 {
+			pairs := (k - i + 1) / 2
+			if err := c.need(1, pairs); err != nil {
+				return nil, err
+			}
+			ctrl := c.buf[c.off]
+			lz1, lz2 := int(ctrl>>4), int(ctrl&0x0f)
+			if lz1 > 8 || lz2 > 8 {
+				return nil, fmt.Errorf("codec: bad float control nibble %#02x", ctrl)
+			}
+			nb1, nb2 := 8-lz1, 0
+			if i+1 < k {
+				nb2 = 8 - lz2
+			}
+			if err := c.need(1+nb1+nb2, pairs+nb1+nb2); err != nil {
+				return nil, err
+			}
+			tail := c.buf[c.off+1 : c.off+1+nb1+nb2]
+			c.off += 1 + nb1 + nb2
+			prev ^= bigEndian(tail[:nb1])
+			f, err := finite(prev)
+			if err != nil {
 				return nil, err
 			}
 			fs = append(fs, f)
+			if i+1 < k {
+				prev ^= bigEndian(tail[nb1:])
+				if f, err = finite(prev); err != nil {
+					return nil, err
+				}
+				fs = append(fs, f)
+			}
+			if c.avail() >= resume*maxPairLen {
+				break
+			}
 		}
 	}
 	return fs, nil

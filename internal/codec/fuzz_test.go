@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -31,6 +33,10 @@ var fuzzOps = []func(vocab) (any, error){
 	func(s vocab) (any, error) { return s.DeltaInts(nil) },
 	func(s vocab) (any, error) { return s.PackedFloat64s(nil) },
 	func(s vocab) (any, error) { return s.Ints(nil) },
+	// The sequences again, into a buffer with room to spare.
+	func(s vocab) (any, error) { return s.DeltaInts(make([]int, 0, 64)) },
+	func(s vocab) (any, error) { return s.PackedFloat64s(make([]float64, 0, 65)) },
+	func(s vocab) (any, error) { return s.Ints(make([]int, 0, 64)) },
 }
 
 // Script bytes naming each op, in fuzzOps order.
@@ -46,6 +52,9 @@ const (
 	opDeltaInts
 	opPackedFloat64s
 	opInts
+	opDeltaIntsInto
+	opPackedFloat64sInto
+	opIntsInto
 )
 
 // runScript decodes script from s and returns one rendering per value read,
@@ -77,8 +86,9 @@ func runScript(s vocab, script []byte) (out []string, ok bool) {
 // decoders: ParseFrame plus FramePayload, and Reader over a plain
 // bytes.Reader and over sources that return one byte, half the request, or
 // the final error together with the last bytes. Every decode must agree on
-// every value and on success or failure, and a successful Reader must leave
-// the stream positioned at the envelope that follows.
+// every value and on success or failure with refDecoder, which reads the
+// payload a byte at a time without the cursor, and a successful Reader
+// must leave the stream positioned at the envelope that follows.
 func FuzzReaderMatchesFrame(f *testing.F) {
 	seed := func(script []byte, parts ...[]byte) {
 		f.Add(script, bytes.Join(parts, nil))
@@ -97,6 +107,9 @@ func FuzzReaderMatchesFrame(f *testing.F) {
 	seed([]byte{opInt, opDeltaInts, opPackedFloat64s, opByte, opVarint},
 		AppendUvarint(nil, 4), AppendDeltaInts(nil, []int{1, 2, 9, 80}),
 		AppendPackedFloat64s(nil, []float64{3.25, 3.25, -1, 0}), []byte{7}, AppendVarint(nil, -300))
+	seed([]byte{opDeltaIntsInto, opPackedFloat64sInto, opIntsInto, opInts},
+		AppendDeltaInts(nil, []int{5, 6, 7}), AppendPackedFloat64s(nil, []float64{1, 2, 3}),
+		AppendInts(nil, []int{9}), AppendInts(nil, make([]int, 40)))
 	// Declared lengths of 2^28 elements over a few payload bytes.
 	for _, op := range []byte{opFloat64s, opDeltaInts, opPackedFloat64s, opInts} {
 		seed([]byte{op}, AppendUvarint(nil, maxElems), []byte{1, 2, 3})
@@ -118,9 +131,16 @@ func FuzzReaderMatchesFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseFrame rejected a finished frame: %v", err)
 		}
+		ref := newRefDecoder(payload)
+		want, wantOK := runScript(ref, script)
+		wantOK = wantOK && ref.done()
 		p := NewFramePayload(body)
-		want, wantOK := runScript(&p, script)
-		wantOK = wantOK && p.Done() == nil
+		got, gotOK := runScript(&p, script)
+		gotOK = gotOK && p.Done() == nil
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("FramePayload read %v (ok=%v), the reference decoder %v (ok=%v) (script %x)",
+				got, gotOK, want, wantOK, script)
+		}
 
 		stream := append(slices.Clip(frame), sentinel...)
 		for name, wrap := range sources {
@@ -132,13 +152,13 @@ func FuzzReaderMatchesFrame(f *testing.F) {
 			got, gotOK := runScript(r, script)
 			gotOK = gotOK && r.Close() == nil
 			if gotOK != wantOK {
-				t.Fatalf("%s: Reader ok=%v, FramePayload ok=%v (script %x)", name, gotOK, wantOK, script)
+				t.Fatalf("%s: Reader ok=%v, the reference decoder ok=%v (script %x)", name, gotOK, wantOK, script)
 			}
 			// Values read inside the payload agree; a failed Reader may read
-			// on past the payload where FramePayload stopped.
+			// on past the payload where the reference stopped.
 			if len(got) < len(want) || !slices.Equal(got[:len(want)], want) ||
 				(wantOK && len(got) != len(want)) {
-				t.Fatalf("%s: Reader read %v, FramePayload %v", name, got, want)
+				t.Fatalf("%s: Reader read %v, the reference decoder %v", name, got, want)
 			}
 			if !gotOK {
 				continue
@@ -155,4 +175,242 @@ func FuzzReaderMatchesFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refDecoder is the payload vocabulary decoded a byte at a time, apart
+// from cursor: varints through encoding/binary's ReadUvarint, floats and
+// packed values assembled byte by byte, every sequence element checked as
+// it is read. The cursor's window loops must match it on every value and
+// on every failure. Each failure is a refFail naming its kind, which
+// failKind reads off a cursor error.
+type refDecoder struct{ r *bytes.Reader }
+
+func newRefDecoder(payload []byte) *refDecoder { return &refDecoder{bytes.NewReader(payload)} }
+
+// done reports whether every payload byte was read.
+func (d *refDecoder) done() bool { return d.r.Len() == 0 }
+
+// refFail is a reference decoding failure, named by kind.
+type refFail string
+
+func (f refFail) Error() string { return string(f) }
+
+const (
+	failShort    refFail = "short"
+	failVarint   refFail = "varint overflow"
+	failRange    refFail = "out of range"
+	failLength   refFail = "length"
+	failGap      refFail = "gap"
+	failOverflow refFail = "sequence overflow"
+	failNibble   refFail = "nibble"
+	failFinite   refFail = "non-finite"
+)
+
+// failKind names the failure a cursor error reports, in refFail's terms.
+func failKind(err error) refFail {
+	for _, k := range []struct {
+		phrase string
+		kind   refFail
+	}{
+		{"short read", failShort},
+		{"payload ends", failShort},
+		{"overflows 64 bits", failVarint},
+		{"out of range", failRange},
+		{"exceeds sanity bound", failLength},
+		{"bad sequence gap", failGap},
+		{"sequence overflow", failOverflow},
+		{"bad float control nibble", failNibble},
+		{"non-finite value", failFinite},
+	} {
+		if bytes.Contains([]byte(err.Error()), []byte(k.phrase)) {
+			return k.kind
+		}
+	}
+	return refFail("unknown: " + err.Error())
+}
+
+func (d *refDecoder) ReadByte() (byte, error) {
+	b, err := d.r.ReadByte()
+	if err != nil {
+		return 0, failShort
+	}
+	return b, nil
+}
+
+func (d *refDecoder) Uvarint() (uint64, error) {
+	u, err := binary.ReadUvarint(d.r)
+	switch {
+	case err == nil:
+		return u, nil
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		return 0, failShort
+	default:
+		return 0, failVarint
+	}
+}
+
+func (d *refDecoder) Varint() (int64, error) {
+	u, err := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1), err
+}
+
+func (d *refDecoder) Int() (int, error) {
+	u, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if u > MaxInt {
+		return 0, failRange
+	}
+	return int(u), nil
+}
+
+func (d *refDecoder) SliceLen() (int, error) {
+	u, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if u > maxElems {
+		return 0, failLength
+	}
+	return int(u), nil
+}
+
+// bigEndian assembles nb bytes, most significant first.
+func (d *refDecoder) bigEndian(nb int) (uint64, error) {
+	var x uint64
+	for range nb {
+		b, err := d.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		x = x<<8 | uint64(b)
+	}
+	return x, nil
+}
+
+func (d *refDecoder) Float64() (float64, error) {
+	var x uint64
+	for j := range 8 {
+		b, err := d.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		x |= uint64(b) << (8 * j)
+	}
+	return math.Float64frombits(x), nil
+}
+
+func refFinite(f float64) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return failFinite
+	}
+	return nil
+}
+
+func (d *refDecoder) FiniteFloat64() (float64, error) {
+	f, err := d.Float64()
+	if err != nil {
+		return 0, err
+	}
+	return f, refFinite(f)
+}
+
+func (d *refDecoder) Float64s() ([]float64, error) {
+	k, err := d.SliceLen()
+	if err != nil {
+		return nil, err
+	}
+	var fs []float64
+	for range k {
+		f, err := d.FiniteFloat64()
+		if err != nil {
+			return nil, err
+		}
+		fs = append(fs, f)
+	}
+	return fs, nil
+}
+
+func (d *refDecoder) Ints([]int) ([]int, error) {
+	k, err := d.SliceLen()
+	if err != nil {
+		return nil, err
+	}
+	var xs []int
+	for range k {
+		x, err := d.Int()
+		if err != nil {
+			return nil, err
+		}
+		xs = append(xs, x)
+	}
+	return xs, nil
+}
+
+func (d *refDecoder) DeltaInts([]int) ([]int, error) {
+	k, err := d.SliceLen()
+	if err != nil || k == 0 {
+		return nil, err
+	}
+	start, err := d.Varint()
+	if err != nil {
+		return nil, err
+	}
+	if start < -MaxInt || start > MaxInt {
+		return nil, failRange
+	}
+	xs := []int{int(start)}
+	for len(xs) < k {
+		gap, err := d.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if gap == 0 || gap > MaxInt {
+			return nil, failGap
+		}
+		prev := xs[len(xs)-1]
+		if prev > math.MaxInt-int(gap) {
+			return nil, failOverflow
+		}
+		xs = append(xs, prev+int(gap))
+	}
+	return xs, nil
+}
+
+func (d *refDecoder) PackedFloat64s([]float64) ([]float64, error) {
+	k, err := d.SliceLen()
+	if err != nil {
+		return nil, err
+	}
+	var fs []float64
+	var prev uint64
+	for len(fs) < k {
+		ctrl, err := d.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		lz := []int{int(ctrl >> 4), int(ctrl & 0x0f)}
+		if lz[0] > 8 || lz[1] > 8 {
+			return nil, failNibble
+		}
+		n := min(2, k-len(fs))
+		var vals [2]uint64
+		for j := range n {
+			x, err := d.bigEndian(8 - lz[j])
+			if err != nil {
+				return nil, err
+			}
+			prev ^= x
+			vals[j] = prev
+		}
+		for j := range n {
+			f := math.Float64frombits(vals[j])
+			if err := refFinite(f); err != nil {
+				return nil, err
+			}
+			fs = append(fs, f)
+		}
+	}
+	return fs, nil
 }

@@ -27,16 +27,8 @@ func (o Options) Validate() error { return o.validate() }
 // the same (n, ends, values) triple MarshalJSON emits, in binary.
 func EncodeHistogramPayload(w *codec.Writer, h *Histogram) {
 	w.Int(h.n)
-	ends := make([]int, len(h.pieces))
-	for i, pc := range h.pieces {
-		ends[i] = pc.Hi
-	}
-	w.DeltaInts(ends)
-	values := make([]float64, len(h.pieces))
-	for i, pc := range h.pieces {
-		values[i] = pc.Value
-	}
-	w.PackedFloat64s(values)
+	w.DeltaIntsFunc(len(h.pieces), func(i int) int { return h.pieces[i].Hi })
+	w.PackedFloat64sFunc(len(h.pieces), func(i int) float64 { return h.pieces[i].Value })
 }
 
 // DecodeHistogramPayload reads and validates a histogram payload. Malformed
@@ -117,20 +109,13 @@ func DecodeHistogram(r io.Reader) (*Histogram, error) {
 }
 
 // EncodeSparsePayload writes a sparse function as (n, delta-encoded indices,
-// raw-bits values): the input a hierarchy payload carries.
+// raw-bits values): the input a hierarchy payload carries. Both sequences
+// are read from the entries as they are written.
 func EncodeSparsePayload(w *codec.Writer, q *sparse.Func) {
 	w.Int(q.N())
 	entries := q.Entries()
-	idxs := make([]int, len(entries))
-	for i, e := range entries {
-		idxs[i] = e.Index
-	}
-	w.DeltaInts(idxs)
-	values := make([]float64, len(entries))
-	for i, e := range entries {
-		values[i] = e.Value
-	}
-	w.PackedFloat64s(values)
+	w.DeltaIntsFunc(len(entries), func(i int) int { return entries[i].Index })
+	w.PackedFloat64sFunc(len(entries), func(i int) float64 { return entries[i].Value })
 }
 
 // decodeSparse reads and validates a sparse function payload: indices

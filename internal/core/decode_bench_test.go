@@ -142,6 +142,7 @@ func BenchmarkEncodeHierarchy(b *testing.B) {
 	h := ConstructHierarchicalHistogram(hierarchyServeInput())
 	var blob bytes.Buffer
 	b.ReportAllocs()
+	b.ResetTimer()
 	for range b.N {
 		blob.Reset()
 		if _, err := h.WriteTo(&blob); err != nil {
@@ -160,6 +161,23 @@ func BenchmarkConstructHierarchy(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
 				ConstructHierarchicalHistogramWorkers(q, w)
+			}
+		})
+	}
+}
+
+// BenchmarkHierarchyForK resolves k = 10, 100 and 1000 on the hierarchy
+// of hierarchyServeInput: the level's partition and its flattened
+// histogram, as a server pays once per served level.
+func BenchmarkHierarchyForK(b *testing.B) {
+	h := ConstructHierarchicalHistogram(hierarchyServeInput())
+	for _, k := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := h.ForK(k); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

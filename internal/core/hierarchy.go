@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/interval"
@@ -168,21 +170,65 @@ func (h *Hierarchy) eachLevel(f func(li int, ends []int)) {
 	}
 }
 
-// partition builds level li's partition from the endpoints alive at it.
-// Every endpoint is written at the next free slot, which advances only
-// past a live one, so the scan has no branch around its store.
+// partition builds level li's partition from the endpoints alive at it:
+// those whose death byte is above li. Below level 128 it reads the death
+// bytes a word of eight at a time and skips a word with no live byte
+// whole, so a coarse level costs |I₀|/8 word reads plus its own pieces. A
+// byte below 128 exceeds li < 128 exactly when its low seven bits plus
+// 127 − li reach its high bit, which no carry from a lower byte can touch,
+// and a byte of 128 or more always does; the lowest set high bit is the
+// first live endpoint of the word. Level 128 on, which Algorithm 2 never
+// reaches, reads byte by byte.
+//
+// The scan records each live endpoint's I₀ position in its piece, and a
+// second pass reads ends only at those positions, loads that do not wait
+// on one another.
 func (h *Hierarchy) partition(li int) interval.Partition {
+	death := h.death
 	p := make(interval.Partition, h.pieces[li])
-	j, lo := 0, 1
-	for i, d := range h.death {
-		hi := h.ends[i]
-		p[j] = interval.Interval{Lo: lo, Hi: hi}
-		if int(d) > li {
-			lo = hi + 1
+	j, i := 0, 0
+	if li < 128 {
+		add := uint64(127-li) * 0x0101010101010101
+		for {
+			var m uint64
+			if i, m = nextLive(death, i, add); m == 0 {
+				break
+			}
+			for ; m != 0; m &= m - 1 {
+				p[j].Hi = i + bits.TrailingZeros64(m)>>3
+				j++
+			}
+			i += 8
+		}
+	}
+	for ; i < len(death); i++ {
+		if int(death[i]) > li {
+			p[j].Hi = i
 			j++
 		}
 	}
+	lo := 1
+	for j := range p {
+		hi := h.ends[p[j].Hi]
+		p[j] = interval.Interval{Lo: lo, Hi: hi}
+		lo = hi + 1
+	}
 	return p
+}
+
+// nextLive returns the first word of eight death bytes from death[i:]
+// with a live one, and the high bit of each live byte in it; past the last
+// whole word it returns where the tail starts and 0. add is
+// (127 − li)·0x0101010101010101, li < 128.
+func nextLive(death []byte, i int, add uint64) (int, uint64) {
+	const low7, high = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	for ; i+8 <= len(death); i += 8 {
+		w := binary.LittleEndian.Uint64(death[i:])
+		if m := ((w & low7) + add | w) & high; m != 0 {
+			return i, m
+		}
+	}
+	return i, 0
 }
 
 // Levels builds every level, finest (I₀, error 0) first. Each call costs
@@ -227,7 +273,9 @@ func (h *Hierarchy) LevelFor(k int) (int, error) {
 // ForK returns the result for a target piece count k: the first level whose
 // partition has at most 8k pieces, flattened into a histogram. By
 // Theorem 3.5 its error is at most 2·opt_k. It returns an error if k < 1.
-// Building the level reads every death byte, O(|I₀|).
+// Building the level reads the death bytes a word of eight at a time and
+// I₀'s endpoints only where the level keeps them; flattening reads every
+// input entry.
 func (h *Hierarchy) ForK(k int) (Result, error) {
 	li, err := h.LevelFor(k)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/numeric"
@@ -229,4 +230,86 @@ func TestHierarchySingleRunServesAllK(t *testing.T) {
 		}
 		prevPieces, prevErr = res.Histogram.NumPieces(), res.Error
 	}
+}
+
+// TestHierarchyForKPartitionMatchesLevels: for every level of several
+// hierarchies, the partition ForK builds from the death bytes, a word of
+// eight at a time, equals Levels()[li].Partition, which eachLevel builds
+// by filtering I₀ level by level, and ForK serves it for the k that
+// selects the level. The hierarchies cover I₀ lengths that are not a
+// multiple of 8, live runs that cross a word, and a hand-built one of 200
+// levels whose levels from 128 on are read byte by byte.
+func TestHierarchyForKPartitionMatchesLevels(t *testing.T) {
+	var hs []*Hierarchy
+	for _, n := range []int{1, 7, 9, 15, 17, 100, 1001, 5003} {
+		r := rng.New(uint64(n))
+		q := make([]float64, n)
+		for i := range q {
+			q[i] = r.NormFloat64()
+			if i%3 == 1 {
+				q[i] = 0 // zero runs make I₀ lengths other than n
+			}
+		}
+		hs = append(hs, ConstructHierarchicalHistogram(sparse.FromDense(q)))
+	}
+	hs = append(hs, deepHierarchy(200, 1003))
+
+	var oddLength, crossesWord bool
+	for _, h := range hs {
+		oddLength = oddLength || len(h.ends)%8 != 0
+		n := h.q.N()
+		for li, lv := range h.Levels() {
+			for i := 7; i+1 < len(h.death); i += 8 {
+				crossesWord = crossesWord || int(h.death[i]) > li && int(h.death[i+1]) > li
+			}
+			p := h.partition(li)
+			if !slices.Equal(p, lv.Partition) {
+				t.Fatalf("|I₀| = %d, level %d of %d: partition %v, Levels %v",
+					len(h.ends), li, h.NumLevels(), p, lv.Partition)
+			}
+			if p[len(p)-1].Hi != n {
+				t.Fatalf("|I₀| = %d, level %d ends at %d, not n = %d", len(h.ends), li, p[len(p)-1].Hi, n)
+			}
+			k := (len(p) + 7) / 8
+			if got, _ := h.LevelFor(k); got != li {
+				continue // an earlier level already has at most 8k pieces
+			}
+			res, err := h.ForK(k)
+			if err != nil || !slices.Equal(res.Partition, lv.Partition) || res.Error != lv.Error {
+				t.Fatalf("|I₀| = %d: ForK(%d) = %v, %v, %v; level %d is %v, %v",
+					len(h.ends), k, res.Partition, res.Error, err, li, lv.Partition, lv.Error)
+			}
+		}
+	}
+	if !oddLength || !crossesWord {
+		t.Fatalf("coverage: an I₀ length not a multiple of 8 %v, a live run across a word %v", oddLength, crossesWord)
+	}
+}
+
+// deepHierarchy hand-builds a hierarchy of the given number of levels over
+// an I₀ of s unit intervals: each endpoint but the last dies at a random
+// level, so a level can keep any subset of the one above it.
+func deepHierarchy(levels, s int) *Hierarchy {
+	r := rng.New(uint64(levels))
+	q := make([]float64, s)
+	for i := range q {
+		q[i] = 1 + r.Float64()
+	}
+	h, _ := newHierarchy(sparse.FromDense(q), make([]int, s))
+	for i := range h.ends {
+		h.ends[i] = i + 1
+		if i < s-1 {
+			h.death[i] = uint8(1 + r.Intn(levels-1))
+		}
+	}
+	for li := range levels {
+		pieces := 0
+		for _, d := range h.death {
+			if int(d) > li {
+				pieces++
+			}
+		}
+		h.addLevel(pieces, float64(li))
+	}
+	return h
 }
