@@ -191,9 +191,9 @@ func (c *cursor) FiniteFloat64() (float64, error) {
 // runs while the window holds a whole worst-case element (10 bytes for a
 // varint, 17 for a packed pair, 8 for a raw float) and the result has room;
 // the per-element path above, which refills, takes over until the window
-// holds a few whole elements again. An element that fails a check in the tight
-// loop is left unread for the per-element path, which reports it, so both
-// paths accept and reject exactly the same bytes.
+// holds a few whole elements again. An element that fails a check in the
+// tight loop is left unread for the per-element path, which reports it, so
+// both paths accept and reject exactly the same bytes.
 //
 // A result is dst when dst holds the declared length, and otherwise starts
 // at what the window backs and grows by doubling, capped at the declared

@@ -9,7 +9,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"testing/iotest"
 )
 
 // vocab is the payload vocabulary both decoders speak, Source plus the raw
@@ -116,12 +115,6 @@ func FuzzReaderMatchesFrame(f *testing.F) {
 	}
 
 	sentinel := FinishFrame(AppendUvarint(AppendFrameHeader(nil, TagCDF), 12345), 0)
-	sources := map[string]func(io.Reader) io.Reader{
-		"bytes":    func(r io.Reader) io.Reader { return r },
-		"one byte": iotest.OneByteReader,
-		"half":     iotest.HalfReader,
-		"data err": iotest.DataErrReader,
-	}
 	f.Fuzz(func(t *testing.T, script, payload []byte) {
 		if len(script) > 64 {
 			script = script[:64]
@@ -143,7 +136,7 @@ func FuzzReaderMatchesFrame(f *testing.F) {
 		}
 
 		stream := append(slices.Clip(frame), sentinel...)
-		for name, wrap := range sources {
+		for name, wrap := range readerSources {
 			src := wrap(bytes.NewReader(stream))
 			r := NewReader(src)
 			if tag, err := r.Header(); err != nil || tag != TagHistogram {

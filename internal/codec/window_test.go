@@ -14,8 +14,8 @@ import (
 )
 
 // readerSources are the byte sources a Reader decodes from in the window
-// tests: whole reads, one byte per Read, half the request, and the final
-// error together with the last bytes.
+// tests and FuzzReaderMatchesFrame: whole reads, one byte per Read, half
+// the request, and the final error together with the last bytes.
 var readerSources = map[string]func(io.Reader) io.Reader{
 	"bytes":    func(r io.Reader) io.Reader { return r },
 	"one byte": iotest.OneByteReader,
