@@ -462,10 +462,12 @@ func TestSequencesAllocateTheirLength(t *testing.T) {
 }
 
 // TestDeclaredLengthsAllocateWhatTheBytesBack declares 2^28 elements, the
-// largest length SliceLen accepts, over a body that holds the first 2^20
-// of them, after which the stream ends. A decoder grows its result only
-// once the next element's first byte is in its window, so it must fail
-// having allocated at most 2.5 times the 2^20 elements the body backs.
+// largest length SliceLen accepts, in an envelope whose payload holds the
+// first 2^20 of them. A decoder grows its result only once the next
+// element's first byte is in its window, and a Reader's refill asks for up
+// to 64 KiB of promised bytes, which the 4-byte footer cannot supply, so
+// each decoder must fail having allocated at most 2.5 times the 2^20
+// elements the payload backs.
 func TestDeclaredLengthsAllocateWhatTheBytesBack(t *testing.T) {
 	const backed = 1 << 20
 	for _, tc := range []struct {
@@ -480,15 +482,15 @@ func TestDeclaredLengthsAllocateWhatTheBytesBack(t *testing.T) {
 		{"Float64s", AppendFloat64(nil, 1), 1, func(s vocab) error { _, err := s.Float64s(); return err }},
 	} {
 		payload := append(AppendUvarint(nil, maxElems), bytes.Repeat(tc.elem, backed/tc.per)...)
-		body := append(AppendFrameHeader(nil, TagHistogram), payload...) // no footer: the stream ends
+		frame := FinishFrame(append(AppendFrameHeader(nil, TagHistogram), payload...), 0)
 		for src, open := range map[string]func() vocab{
 			"Reader over bytes": func() vocab {
-				r := NewReader(bytes.NewReader(body))
+				r := NewReader(bytes.NewReader(frame))
 				r.Header()
 				return r
 			},
 			"Reader over a stream": func() vocab {
-				r := NewReader(struct{ io.Reader }{bytes.NewReader(body)})
+				r := NewReader(struct{ io.Reader }{bytes.NewReader(frame)})
 				r.Header()
 				return r
 			},
