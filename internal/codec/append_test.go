@@ -287,3 +287,32 @@ func TestWriterSequencesInBoundedWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterSequenceAfterPanic: a short sequence goes out in one write,
+// its length prefix included, and a DeltaInts that panics on a
+// non-increasing sequence leaves nothing behind for the next sequence to
+// write.
+func TestWriterSequenceAfterPanic(t *testing.T) {
+	var w writeSizes
+	enc := NewWriter(&w, TagHistogram)
+	writes := len(w.sizes)
+	enc.DeltaInts([]int{1, 5, 9})
+	if got := len(w.sizes) - writes; got != 1 {
+		t.Fatalf("a 3-element DeltaInts took %d writes, want 1", got)
+	}
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		enc.DeltaInts([]int{1, 2, 2})
+		return false
+	}()
+	if !panicked {
+		t.Fatal("DeltaInts accepted a repeated element")
+	}
+	mark := w.Len()
+	enc.DeltaInts([]int{3, 4})
+	enc.PackedFloat64s([]float64{0.5, 1.5, 2.5})
+	want := AppendPackedFloat64s(AppendDeltaInts(nil, []int{3, 4}), []float64{0.5, 1.5, 2.5})
+	if got := w.Bytes()[mark:]; !bytes.Equal(got, want) {
+		t.Fatalf("after the panic the Writer wrote %x, want %x", got, want)
+	}
+}

@@ -137,8 +137,9 @@ type Writer struct {
 	n   int64
 	err error
 	buf [binary.MaxVarintLen64]byte
-	// scratch holds the next piece of a sequence, encoded by the encoder
-	// its Append* twin runs, before one raw write.
+	// scratch holds the next piece of a sequence before one raw write:
+	// the length prefix and first runs, then later runs, encoded by the
+	// encoder its Append* twin runs.
 	scratch []byte
 }
 
@@ -211,7 +212,7 @@ func (e *Writer) PackedFloat64s(fs []float64) {
 // PackedFloat64sFunc writes the n values at(0), …, at(n−1) as
 // PackedFloat64s does, for a sequence not held in one slice.
 func (e *Writer) PackedFloat64sFunc(n int, at func(int) float64) {
-	e.Uvarint(uint64(n))
+	e.scratch = binary.AppendUvarint(e.scratch[:0], uint64(n))
 	var p packedEncoder
 	var run [seqRun]float64
 	for i := 0; i < n; i += seqRun {
@@ -226,7 +227,9 @@ func (e *Writer) PackedFloat64sFunc(n int, at func(int) float64) {
 }
 
 // DeltaInts appends a strictly increasing integer sequence in
-// AppendDeltaInts's layout, panicking like it on a non-increasing one.
+// AppendDeltaInts's layout, panicking like it on a non-increasing one. A
+// sequence longer than one write may have had its first runs written by
+// then; the next sequence method starts from an empty scratch.
 func (e *Writer) DeltaInts(xs []int) {
 	e.DeltaIntsFunc(len(xs), func(i int) int { return xs[i] })
 }
@@ -234,7 +237,7 @@ func (e *Writer) DeltaInts(xs []int) {
 // DeltaIntsFunc writes the n-element sequence at(0), …, at(n−1) as
 // DeltaInts does, for a sequence not held in one slice.
 func (e *Writer) DeltaIntsFunc(n int, at func(int) int) {
-	e.Uvarint(uint64(n))
+	e.scratch = binary.AppendUvarint(e.scratch[:0], uint64(n))
 	var d deltaEncoder
 	var run [seqRun]int
 	for i := 0; i < n; i += seqRun {

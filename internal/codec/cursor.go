@@ -187,13 +187,14 @@ func (c *cursor) FiniteFloat64() (float64, error) {
 	return finite(x)
 }
 
-// The sequence decoders below decode a window at a time. A tight loop
-// runs while the window holds a whole worst-case element (10 bytes for a
-// varint, 17 for a packed pair, 8 for a raw float) and the result has room;
+// The varint and packed sequence decoders below decode a window at a
+// time. A tight loop runs while the window holds a whole worst-case element
+// (10 bytes for a varint, 17 for a packed pair) and the result has room;
 // the per-element path above, which refills, takes over until the window
 // holds a few whole elements again. An element that fails a check in the
 // tight loop is left unread for the per-element path, which reports it, so
-// both paths accept and reject exactly the same bytes.
+// both paths accept and reject exactly the same bytes. Float64s, which
+// carries a piece's few coefficients, reads element by element.
 //
 // A result is dst when dst holds the declared length, and otherwise starts
 // at what the window backs and grows by doubling, capped at the declared
@@ -233,14 +234,6 @@ func grow[T any](c *cursor, xs []T, k, width, promise int) ([]T, error) {
 // expBits masks a float64's exponent; all ones is NaN or ±Inf.
 const expBits = 0x7ff << 52
 
-// lowBits and highBits are each byte's low and high bit in a word of
-// eight: a word of bytes below 0x80, none of them zero, has neither x nor
-// x − lowBits meet highBits.
-const (
-	lowBits  = 0x0101010101010101
-	highBits = 0x8080808080808080
-)
-
 // Float64s reads a length-prefixed float slice, every element finite.
 func (c *cursor) Float64s() ([]float64, error) {
 	k, err := c.SliceLen()
@@ -257,32 +250,15 @@ func (c *cursor) Float64s() ([]float64, error) {
 				return nil, err
 			}
 		}
-		b, off := c.buf, c.off
-		i, n := len(fs), min(k, cap(fs))
-		fs = fs[:n]
-		for ; i < n && off <= len(b)-8; i++ {
-			x := binary.LittleEndian.Uint64(b[off:])
-			if x&expBits == expBits {
-				break
-			}
-			fs[i] = math.Float64frombits(x)
-			off += 8
+		x, err := c.bits64(8 * (k - len(fs)))
+		if err != nil {
+			return nil, err
 		}
-		c.off, fs = off, fs[:i]
-		for ; i < n; i++ {
-			x, err := c.bits64(8 * (k - i))
-			if err != nil {
-				return nil, err
-			}
-			f, err := finite(x)
-			if err != nil {
-				return nil, err
-			}
-			fs = append(fs, f)
-			if c.avail() >= resume*8 {
-				break
-			}
+		f, err := finite(x)
+		if err != nil {
+			return nil, err
 		}
+		fs = append(fs, f)
 	}
 	return fs, nil
 }
@@ -372,19 +348,7 @@ func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 		i, n := len(xs), min(k, cap(xs))
 		xs = xs[:n]
 		prev := xs[i-1]
-		for i < n && off <= len(b)-binary.MaxVarintLen64 {
-			// Eight one-byte gaps, none zero, cannot wrap a prev this low:
-			// they are summed without a check each.
-			if x := binary.LittleEndian.Uint64(b[off:]); i+8 <= n && prev <= math.MaxInt-8*0x7f &&
-				x&highBits == 0 && (x-lowBits)&highBits == 0 {
-				run := xs[i : i+8 : i+8]
-				for j := range run {
-					prev += int(x>>(8*j)) & 0x7f
-					run[j] = prev
-				}
-				i, off = i+8, off+8
-				continue
-			}
+		for ; i < n && off <= len(b)-binary.MaxVarintLen64; i++ {
 			gap, w := uint64(b[off]), 1
 			if gap >= 0x80 {
 				if gap, w = binary.Uvarint(b[off:]); w <= 0 || gap > MaxInt {
@@ -396,7 +360,7 @@ func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 				break
 			}
 			xs[i], prev = next, next
-			i, off = i+1, off+w
+			off += w
 		}
 		c.off, xs = off, xs[:i]
 		for ; i < n; i++ {

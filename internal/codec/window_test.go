@@ -59,8 +59,8 @@ func paddedUvarint(u uint64, w int) []byte {
 	return b
 }
 
-// varintWidth returns a varint width: 1 byte half the time, so runs of
-// eight one-byte elements occur, and otherwise 2 to 10.
+// varintWidth returns a varint width: 1 byte half the time, the common
+// width, and otherwise 2 to 10.
 func varintWidth(r func() int64) int {
 	if r()%2 == 0 {
 		return 1
@@ -257,26 +257,6 @@ func seamElems(t *testing.T, s seqBody) []int {
 	return at
 }
 
-// oneByteRun returns the elements of the first run of sixteen one-byte
-// elements, which the DeltaInts window loop reads eight to a word.
-func oneByteRun(s seqBody) []int {
-	run := 0
-	for e, b := range s.elems {
-		run++
-		if len(b) != 1 {
-			run = 0
-		}
-		if run == 16 {
-			at := make([]int, 16)
-			for i := range at {
-				at[i] = e - i
-			}
-			return at
-		}
-	}
-	return nil
-}
-
 // TestSequencesAcrossSeams decodes sequences of at least three Reader
 // windows, each element of a random width (varints of 1 to 10 bytes, the
 // wider ones padded; packed pairs of 1 to 17 bytes; raw floats), so
@@ -285,9 +265,7 @@ func oneByteRun(s seqBody) []int {
 // corrupts the element just before, on and just after each of three seams:
 // a zero gap, a gap that overflows, a varint past 64 bits, an int past
 // MaxInt, control nibble 9 in either half, NaN in either half of a pair,
-// and a NaN raw float; and each element of a run of one-byte gaps, which
-// DeltaInts reads a word at a time. Every decoder must fail as the
-// reference does.
+// and a NaN raw float. Every decoder must fail as the reference does.
 func TestSequencesAcrossSeams(t *testing.T) {
 	r := rngLike(25)
 	values := packedValues(r)
@@ -342,9 +320,6 @@ func TestSequencesAcrossSeams(t *testing.T) {
 		var at []int
 		for _, on := range seamElems(t, tc.body) {
 			at = append(at, on-1, on, on+1)
-		}
-		if tc.body.op == opDeltaInts {
-			at = append(at, oneByteRun(tc.body)...)
 		}
 		for _, e := range at {
 			for _, c := range tc.corruptions {
