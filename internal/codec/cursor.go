@@ -231,9 +231,6 @@ func grow[T any](c *cursor, xs []T, k, width, promise int) ([]T, error) {
 	return bigger, nil
 }
 
-// expBits masks a float64's exponent; all ones is NaN or ±Inf.
-const expBits = 0x7ff << 52
-
 // Float64s reads a length-prefixed float slice, every element finite.
 func (c *cursor) Float64s() ([]float64, error) {
 	k, err := c.SliceLen()
@@ -387,6 +384,9 @@ func (c *cursor) DeltaInts(dst []int) ([]int, error) {
 // maxPairLen is the widest packed pair: a control byte and two whole
 // values.
 const maxPairLen = 1 + 2*8
+
+// expBits masks a float64's exponent; all ones is NaN or ±Inf.
+const expBits = 0x7ff << 52
 
 // PackedFloat64s reads a sequence written by AppendPackedFloat64s into dst,
 // reallocating it only when too small, and rejects malformed control

@@ -263,9 +263,10 @@ func seamElems(t *testing.T, s seqBody) []int {
 // elements land across every refill seam, through FramePayload and a
 // Reader over every source, and matches each against refDecoder. It then
 // corrupts the element just before, on and just after each of three seams:
-// a zero gap, a gap that overflows, a varint past 64 bits, an int past
-// MaxInt, control nibble 9 in either half, NaN in either half of a pair,
-// and a NaN raw float. Every decoder must fail as the reference does.
+// a zero gap, a gap that overflows, a gap past MaxInt, a varint past 64
+// bits, an int past MaxInt, control nibble 9 in either half, NaN in either
+// half of a pair, and a NaN raw float. Every decoder must fail as the
+// reference does.
 func TestSequencesAcrossSeams(t *testing.T) {
 	r := rngLike(25)
 	values := packedValues(r)
@@ -285,6 +286,12 @@ func TestSequencesAcrossSeams(t *testing.T) {
 		{deltaBody(r), []corruption{
 			{"zero gap", failGap, func(s seqBody, e int) seqBody { return s.withElem(e, paddedUvarint(0, len(s.elems[e]))) }},
 			{"gap that overflows", failOverflow, func(s seqBody, e int) seqBody { return s.withElem(e, AppendUvarint(nil, MaxInt)) }},
+			// From −MaxInt a gap past MaxInt does not overflow, so only
+			// the gap's own bound rejects it.
+			{"gap past MaxInt", failGap, func(s seqBody, e int) seqBody {
+				s.prefix = AppendVarint(AppendUvarint(nil, seqElems), -MaxInt)
+				return s.withElem(e, AppendUvarint(nil, MaxInt+1))
+			}},
 			{"varint past 64 bits", failVarint, func(s seqBody, e int) seqBody { return s.withElem(e, overlongVarint) }},
 		}},
 		{packedBody(values), []corruption{
